@@ -26,7 +26,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -210,6 +209,8 @@ def run_config(config: BenchConfig) -> list[BenchRecord]:
     if workers == 1 or config.instances == 1:
         nested = [_instance_records(config, i) for i in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_instance_records, [config] * config.instances, indices))
     return [r for group in nested for r in group]

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from itertools import product
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 from puboforge.poly import (
     DegreeError,
@@ -157,19 +156,20 @@ class AncillaRegistry:
 # ---------------------------------------------------------------------------
 
 
+def add_penalty(acc: MutableMapping[Monomial, int], x: Var, y: Var, z: Var, weight: int) -> None:
+    """Add weight * (3z + xy - 2xz - 2yz) into the term map acc."""
+    for m, c in (([z], 3), ([x, y], 1), ([x, z], -2), ([y, z], -2)):
+        m = monomial(m)
+        acc[m] = acc.get(m, 0) + weight * c
+
+
 def penalty_s(x: Var, y: Var, z: Var, n: int) -> Polynomial:
     """The penalty 3z + xy - 2xz - 2yz over distinct variables x, y, z."""
     if len({x, y, z}) != 3:
         raise ValueError("penalty arguments must be three distinct variables")
-    return Polynomial(
-        n,
-        {
-            monomial([z]): 3,
-            monomial([x, y]): 1,
-            monomial([x, z]): -2,
-            monomial([y, z]): -2,
-        },
-    )
+    acc: dict[Monomial, int] = {}
+    add_penalty(acc, x, y, z, 1)
+    return Polynomial(n, acc)
 
 
 @dataclass(frozen=True)
@@ -197,31 +197,23 @@ def exhaustive_penalty_search(bound: int = 6) -> PenaltySearchResult:
     A candidate is a valid conjunction penalty when it is 0 on all rows with
     z == x*y and >= 1 on the other rows.  Returns the minimum over valid
     candidates of max |coefficient| together with every optimum attaining it.
+    The rows (0,1,0) and (1,0,0) force c_y = c_x = 0 and the row (1,1,1)
+    fixes c_yz = -(c_z + c_xy + c_xz), so only (c_z, c_xy, c_xz) is
+    enumerated; every candidate is still checked on all eight rows.
     """
-    basis = np.array(
-        [[x, y, z, x * y, x * z, y * z] for x, y, z in _PENALTY_ROWS], dtype=np.int16
-    )
-    span = np.arange(-bound, bound + 1, dtype=np.int16)
-    tail = np.stack(np.meshgrid(*([span] * 5), indexing="ij"), axis=-1).reshape(-1, 5)
-    best: int | None = None
-    optima: list[tuple[int, ...]] = []
-    for c0 in span:
-        cand = np.empty((tail.shape[0], 6), dtype=np.int16)
-        cand[:, 0] = c0
-        cand[:, 1:] = tail
-        values = cand @ basis.T
-        valid = (values[:, :4] == 0).all(axis=1) & (values[:, 4:] >= 1).all(axis=1)
-        if not valid.any():
+    valid: list[tuple[int, ...]] = []
+    for c_z, c_xy, c_xz in product(range(-bound, bound + 1), repeat=3):
+        cand = (0, 0, c_z, c_xy, c_xz, -(c_z + c_xy + c_xz))
+        if abs(cand[5]) > bound:
             continue
-        maxabs = np.abs(cand[valid]).max(axis=1)
-        chunk_best = int(maxabs.min())
-        if best is None or chunk_best < best:
-            best = chunk_best
-            optima = []
-        if chunk_best == best:
-            for row in cand[valid][maxabs == best]:
-                optima.append(tuple(int(v) for v in row))
-    return PenaltySearchResult(best, tuple(sorted(optima)))
+        values = [
+            sum(c * b for c, b in zip(cand, (x, y, z, x * y, x * z, y * z)))
+            for x, y, z in _PENALTY_ROWS
+        ]
+        if not any(values[:4]) and min(values[4:]) >= 1:
+            valid.append(cand)
+    best = min((max(map(abs, c)) for c in valid), default=None)
+    return PenaltySearchResult(best, tuple(sorted(c for c in valid if max(map(abs, c)) == best)))
 
 
 def verify_penalty_minimality() -> int:
@@ -416,35 +408,26 @@ def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
     cubic = poly.cubic_terms()
     acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
     registry = AncillaRegistry()
-    penalties = Polynomial.zero(poly.n)
     for pair in plan.pairs():
         i, j = pair
         ks = sorted(plan.assignments[pair])
         if plan.mode is GadgetMode.SINGLE:
-            z = avar(registry.add(PairAncilla(i, j)))
-            for k in ks:
-                alpha = cubic[tuple(sorted((i, j, k)))]
-                m = monomial([z, xvar(k)])
-                acc[m] = acc.get(m, 0) + alpha
-            key = (pair, 1)
-            if key not in plan.deltas:
-                raise PlanError(f"plan is missing a delta for {key}")
-            penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
+            copies = [avar(registry.add(PairAncilla(i, j)))]
+            splits = [(cubic[tuple(sorted((i, j, k)))],) for k in ks]
         else:
             copies = [avar(registry.add(PairCopyAncilla(i, j, m))) for m in (1, 2, 3)]
-            for k in ks:
-                betas = beta_split(cubic[tuple(sorted((i, j, k)))])
-                for z, beta in zip(copies, betas):
-                    if beta:
-                        m = monomial([z, xvar(k)])
-                        acc[m] = acc.get(m, 0) + beta
-            for m_index, z in enumerate(copies, start=1):
-                key = (pair, m_index)
-                if key not in plan.deltas:
-                    raise PlanError(f"plan is missing a delta for {key}")
-                penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
-    quadratic = Polynomial(poly.n, acc) + penalties
-    return ReducedInstance(quadratic, registry, poly.n)
+            splits = [beta_split(cubic[tuple(sorted((i, j, k)))]) for k in ks]
+        for k, betas in zip(ks, splits):
+            for z, beta in zip(copies, betas):
+                if beta:
+                    m = monomial([z, xvar(k)])
+                    acc[m] = acc.get(m, 0) + beta
+        for m_index, z in enumerate(copies, start=1):
+            key = (pair, m_index)
+            if key not in plan.deltas:
+                raise PlanError(f"plan is missing a delta for {key}")
+            add_penalty(acc, xvar(i), xvar(j), z, plan.deltas[key])
+    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
 
 
 def max_introduced_coefficient(plan: ReductionPlan, poly: Polynomial) -> int:
@@ -516,6 +499,13 @@ def parse_qubo(text: str) -> ReducedInstance:
     n = 0
     acc: dict[Monomial, int] = {}
     defs: dict[int, AncillaDef] = {}
+
+    def ints(values: list[str]) -> list[int]:
+        try:
+            return [int(v) for v in values]
+        except ValueError:
+            raise ParseError(f"non-integer field in {line!r}", lineno) from None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -534,7 +524,8 @@ def parse_qubo(text: str) -> ReducedInstance:
         if fields[0] == "c":
             if len(fields) != 2:
                 raise ParseError(f"malformed constant line {line!r}", lineno)
-            acc[()] = acc.get((), 0) + int(fields[1])
+            (offset,) = ints(fields[1:])
+            acc[()] = acc.get((), 0) + offset
             continue
         if fields[0] == "a":
             try:
@@ -547,19 +538,18 @@ def parse_qubo(text: str) -> ReducedInstance:
                 raise ParseError(f"duplicate ancilla definition for index {idx}", lineno)
             kind = fields[2] if len(fields) > 2 else ""
             if kind == "pair" and len(fields) in (5, 6):
-                i, j = int(fields[3]), int(fields[4])
+                i, j = ints(fields[3:5])
                 if not 1 <= i < j <= n:
                     raise ParseError(f"pair ({i},{j}) is not an ordered computational pair", lineno)
                 if len(fields) == 6:
-                    copy = int(fields[5])
+                    (copy,) = ints(fields[5:])
                     if copy not in (1, 2, 3):
                         raise ParseError(f"pair copy must be 1..3, got {copy}", lineno)
                     defs[idx] = PairCopyAncilla(i, j, copy)
                 else:
                     defs[idx] = PairAncilla(i, j)
             elif kind == "triple" and len(fields) == 9 and fields[6] == "via":
-                i, j, k = int(fields[3]), int(fields[4]), int(fields[5])
-                p, q = int(fields[7]), int(fields[8])
+                i, j, k, p, q = ints(fields[3:6] + fields[7:])
                 if not 1 <= i < j < k <= n:
                     raise ParseError(f"triple ({i},{j},{k}) is not sorted within 1..{n}", lineno)
                 if not {p, q} < {i, j, k} or p >= q:

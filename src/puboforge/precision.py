@@ -15,9 +15,9 @@ where Theta collects the coefficients of the terms already assigned to b
 plus a's own.  Each round scores every remaining term by its best pair
 (ties broken toward pairs contained in the fewest remaining terms, then
 lexicographically), then commits the *hardest* term first, so expensive
-terms claim cheap pairs before the cheap terms use them up.  Penalty
-weights are not accumulated here; the final plan derives them from the
-finished assignment.
+terms claim cheap pairs before the cheap terms use them up.  The planner
+keeps only the running sums its scores need; the final plan derives the
+penalty weights from the finished assignment.
 
 `arbitrary_plan` is the do-nothing baseline: every term picks one of its
 three pairs uniformly at random (seed-deterministic).  Benchmarks measure
@@ -27,69 +27,78 @@ the mean control-precision increase.
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterable, Mapping
 
-from puboforge.gadgets import (
-    GadgetMode,
-    Pair,
-    ReductionPlan,
-    Triple,
-    delta_for_group,
-)
+from puboforge.gadgets import GadgetMode, Pair, ReductionPlan, Triple
 from puboforge.poly import Polynomial
 
 
-@dataclass
-class GreedyState:
-    """Remaining terms and the assignment built so far."""
-
-    poly: Polynomial
-    remaining: set[Triple]
-    assignments: dict[Pair, set[int]] = field(default_factory=dict)
-
-    def group_coefficients(self, b: Pair) -> list[int]:
-        cubic = self.poly.cubic_terms()
-        return [
-            cubic[tuple(sorted(b + (k,)))] for k in sorted(self.assignments.get(b, ()))
-        ]
+def _burden(pos: int, neg: int, alpha: int, beta: int) -> int:
+    """w for a term alpha joining a group whose positive and negative
+    coefficients sum to pos and neg, on a pair with coefficient beta."""
+    delta = 1 + max(pos + max(alpha, 0), -neg - min(alpha, 0))
+    return max(3 * delta, abs(beta + delta))
 
 
-def cost_w(state: GreedyState, a: Triple, b: Pair) -> int:
-    """Largest coefficient created around b's ancilla if term a joins it."""
-    cubic = state.poly.cubic_terms()
-    theta = state.group_coefficients(b) + [cubic[a]]
-    delta = delta_for_group(theta)
-    return max(3 * delta, abs(state.poly.pair_coefficient(*b) + delta))
-
-
-def _best_pair(state: GreedyState, a: Triple) -> tuple[Pair, int]:
-    """Cheapest pair for a; ties prefer rarer pairs, then lexicographic order."""
-    scored = [(cost_w(state, a, b), b) for b in combinations(a, 2)]
-    low = min(w for w, _ in scored)
-    tied = [b for w, b in scored if w == low]
-    if len(tied) > 1:
-        occurrence = {
-            b: sum(1 for t in state.remaining if set(b) <= set(t)) for b in tied
-        }
-        fewest = min(occurrence.values())
-        tied = [b for b in tied if occurrence[b] == fewest]
-    return min(tied), low
+def cost_w(poly: Polynomial, assignments: Mapping[Pair, Iterable[int]], a: Triple, b: Pair) -> int:
+    """Largest coefficient created around b's ancilla if term a joins the
+    terms that ``assignments`` already routes to b."""
+    cubic = poly.cubic_terms()
+    group = [cubic[tuple(sorted(b + (k,)))] for k in assignments.get(b, ())]
+    pos = sum(c for c in group if c > 0)
+    return _burden(pos, sum(group) - pos, cubic[a], poly.pair_coefficient(*b))
 
 
 def greedy_precision_plan(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) -> ReductionPlan:
-    """Precision-aware grouping: hardest term first onto its cheapest pair."""
-    state = GreedyState(poly, set(poly.cubic_terms()))
-    while state.remaining:
-        choices = {a: _best_pair(state, a) for a in sorted(state.remaining)}
-        hardest = max(w for _, w in choices.values())
-        d = min(a for a, (_, w) in choices.items() if w == hardest)
-        pair = choices[d][0]
-        third = (set(d) - set(pair)).pop()
-        state.assignments.setdefault(pair, set()).add(third)
-        state.remaining.remove(d)
-    return ReductionPlan.from_assignment(poly, state.assignments, mode)
+    """Precision-aware grouping: hardest term first onto its cheapest pair.
+
+    Each pair keeps the sums of its group's positive and negative
+    coefficients and its count of remaining terms, so a score costs O(1).
+    A commit changes only the group and the counts of the committed term's
+    pairs, so only the remaining terms sharing one of them are rescored.
+    """
+    cubic = poly.cubic_terms()
+    pairs_of = {a: tuple(combinations(a, 2)) for a in cubic}
+    terms_of: dict[Pair, list[Triple]] = {}
+    for a, pairs in pairs_of.items():
+        for b in pairs:
+            terms_of.setdefault(b, []).append(a)
+    beta = {b: poly.pair_coefficient(*b) for b in terms_of}
+    count = {b: len(ts) for b, ts in terms_of.items()}
+    pos = dict.fromkeys(terms_of, 0)
+    neg = dict.fromkeys(terms_of, 0)
+    best: dict[Triple, tuple[Pair, int]] = {}  # remaining term -> (pair, w)
+    heap: list[tuple[int, Triple]] = []  # (-w, term); stale entries skipped
+
+    def score(a: Triple) -> None:
+        w, _, b = min(
+            (_burden(pos[b], neg[b], cubic[a], beta[b]), count[b], b) for b in pairs_of[a]
+        )
+        best[a] = (b, w)
+        heapq.heappush(heap, (-w, a))
+
+    for a in cubic:
+        score(a)
+    assignments: dict[Pair, set[int]] = {}
+    while best:
+        neg_w, d = heapq.heappop(heap)
+        if d not in best or best[d][1] != -neg_w:
+            continue
+        pair, _ = best.pop(d)
+        alpha = cubic[d]
+        if alpha > 0:
+            pos[pair] += alpha
+        else:
+            neg[pair] += alpha
+        assignments.setdefault(pair, set()).add((set(d) - set(pair)).pop())
+        for b in pairs_of[d]:
+            count[b] -= 1
+        for a in {t for b in pairs_of[d] for t in terms_of[b] if t in best}:
+            score(a)
+    return ReductionPlan.from_assignment(poly, assignments, mode)
 
 
 def arbitrary_plan(

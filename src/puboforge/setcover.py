@@ -25,6 +25,7 @@ vertices cannot exceed that size.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -227,16 +228,26 @@ def reduce_min_greedy(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) ->
     lexicographically smallest pair), assigns those terms to it, and repeats.
     """
     remaining = set(poly.cubic_terms())
+    terms_of: dict[Pair, list[Triple]] = {}
+    for t in remaining:
+        for p in combinations(t, 2):
+            terms_of.setdefault(p, []).append(t)
+    counts = {p: len(ts) for p, ts in terms_of.items()}
+    heap = [(-c, p) for p, c in counts.items()]  # stale entries are skipped
+    heapq.heapify(heap)
     assignments: dict[Pair, set[int]] = {}
     while remaining:
-        counts: dict[Pair, int] = {}
-        for t in remaining:
-            for p in combinations(t, 2):
-                counts[p] = counts.get(p, 0) + 1
-        best_pair = min(p for p, c in counts.items() if c == max(counts.values()))
-        claimed = {t for t in remaining if set(best_pair) <= set(t)}
+        neg_count, best_pair = heapq.heappop(heap)
+        if counts[best_pair] != -neg_count:
+            continue
+        claimed = [t for t in terms_of[best_pair] if t in remaining]
         assignments[best_pair] = {(set(t) - set(best_pair)).pop() for t in claimed}
-        remaining -= claimed
+        remaining.difference_update(claimed)
+        for t in claimed:
+            for p in combinations(t, 2):
+                counts[p] -= 1
+                if counts[p]:
+                    heapq.heappush(heap, (-counts[p], p))
     return ReductionPlan.from_assignment(poly, assignments, mode)
 
 

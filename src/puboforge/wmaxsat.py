@@ -38,7 +38,7 @@ from puboforge.gadgets import (
     ReducedInstance,
     Triple,
     TripleAncilla,
-    penalty_s,
+    add_penalty,
 )
 from puboforge.poly import Monomial, ParseError, Polynomial, PuboError, avar, monomial, xvar
 
@@ -341,18 +341,12 @@ def apply_quartic_plan(
         triple_load[t] += abs(alpha)
         pair_load[via[t]] += abs(alpha)
 
-    penalties = Polynomial.zero(poly.n)
     for p in selected_pairs:
-        delta = 1 + pair_load[p]
-        penalties = penalties + delta * penalty_s(xvar(p[0]), xvar(p[1]), pair_var[p], poly.n)
+        add_penalty(acc, xvar(p[0]), xvar(p[1]), pair_var[p], 1 + pair_load[p])
     for t in chained:
-        delta = 1 + triple_load[t]
         extra = (set(t) - set(via[t])).pop()
-        penalties = penalties + delta * penalty_s(
-            pair_var[via[t]], xvar(extra), triple_var[t], poly.n
-        )
-    quadratic = Polynomial(poly.n, acc) + penalties
-    return ReducedInstance(quadratic, registry, poly.n)
+        add_penalty(acc, pair_var[via[t]], xvar(extra), triple_var[t], 1 + triple_load[t])
+    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,24 @@ class TestVerify:
         obj = json.loads(capsys.readouterr().out)
         assert obj["pointwise"] is True and obj["verdict"] == "pass"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "c x1",
+            "a 6 pair 1 x2",
+            "a 6 pair 1 2 one",
+            "a 6 triple 1 2 3 via 1 x2",
+            "a 6 triple 1 two 3 via 1 2",
+        ],
+    )
+    def test_non_integer_field_reports_line(self, worked, tmp_path, capsys, line):
+        bad = tmp_path / "bad.qubo"
+        bad.write_text(f"p qubo 6 5\n1 1 2\n{line}\n")
+        assert run(["verify", str(worked), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert "invalid literal" not in err
+
 
 class TestBench:
     def test_default_config_emits_header_and_rows(self, capsys):

@@ -1,12 +1,29 @@
-"""Shared test helpers: instance builders and brute-force oracles.
+"""Shared test helpers: instance builders, brute-force oracles, and slow
+reference implementations.
 
 The oracles here use only Polynomial.evaluate plus exhaustive enumeration,
 independent of the reduction code paths under test.
 """
 
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from puboforge.poly import Polynomial, avar, monomial, xvar
+from puboforge.gadgets import (
+    AncillaRegistry,
+    GadgetMode,
+    Pair,
+    PairAncilla,
+    PairCopyAncilla,
+    ReducedInstance,
+    ReductionPlan,
+    Triple,
+    TripleAncilla,
+    beta_split,
+    delta_for_group,
+    penalty_s,
+)
+from puboforge.poly import Monomial, Polynomial, avar, monomial, xvar
+from puboforge.wmaxsat import WmaxsatInstance, decode_ancilla_set
 
 
 def poly_of(n, entries, const=0):
@@ -85,3 +102,174 @@ def strictly_dominant(reduced, x):
         if reduced.quadratic.evaluate(full) <= target:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Slow reference implementations: planners that rescore (precision greedy)
+# or recount (ReduceMin) every remaining term each round, and materializers
+# that sum one scaled penalty polynomial per ancilla.  The incremental code
+# in the package must match them exactly.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class GreedyState:
+    """Remaining terms and the assignment built so far."""
+
+    poly: Polynomial
+    remaining: set[Triple]
+    assignments: dict[Pair, set[int]] = field(default_factory=dict)
+
+    def group_coefficients(self, b: Pair) -> list[int]:
+        cubic = self.poly.cubic_terms()
+        return [
+            cubic[tuple(sorted(b + (k,)))] for k in sorted(self.assignments.get(b, ()))
+        ]
+
+
+def reference_cost_w(state: GreedyState, a: Triple, b: Pair) -> int:
+    """Largest coefficient created around b's ancilla if term a joins it."""
+    cubic = state.poly.cubic_terms()
+    theta = state.group_coefficients(b) + [cubic[a]]
+    delta = delta_for_group(theta)
+    return max(3 * delta, abs(state.poly.pair_coefficient(*b) + delta))
+
+
+def _best_pair(state: GreedyState, a: Triple) -> tuple[Pair, int]:
+    """Cheapest pair for a; ties prefer rarer pairs, then lexicographic order."""
+    scored = [(reference_cost_w(state, a, b), b) for b in combinations(a, 2)]
+    low = min(w for w, _ in scored)
+    tied = [b for w, b in scored if w == low]
+    if len(tied) > 1:
+        occurrence = {
+            b: sum(1 for t in state.remaining if set(b) <= set(t)) for b in tied
+        }
+        fewest = min(occurrence.values())
+        tied = [b for b in tied if occurrence[b] == fewest]
+    return min(tied), low
+
+
+def reference_greedy_precision_plan(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) -> ReductionPlan:
+    """Precision-aware grouping: hardest term first onto its cheapest pair."""
+    state = GreedyState(poly, set(poly.cubic_terms()))
+    while state.remaining:
+        choices = {a: _best_pair(state, a) for a in sorted(state.remaining)}
+        hardest = max(w for _, w in choices.values())
+        d = min(a for a, (_, w) in choices.items() if w == hardest)
+        pair = choices[d][0]
+        third = (set(d) - set(pair)).pop()
+        state.assignments.setdefault(pair, set()).add(third)
+        state.remaining.remove(d)
+    return ReductionPlan.from_assignment(poly, state.assignments, mode)
+
+
+def reference_reduce_min_greedy(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) -> ReductionPlan:
+    """ReduceMin: repeatedly give the most popular remaining pair an ancilla.
+
+    Picks the pair contained in the most remaining cubic terms (ties to the
+    lexicographically smallest pair), assigns those terms to it, and repeats.
+    """
+    remaining = set(poly.cubic_terms())
+    assignments: dict[Pair, set[int]] = {}
+    while remaining:
+        counts: dict[Pair, int] = {}
+        for t in remaining:
+            for p in combinations(t, 2):
+                counts[p] = counts.get(p, 0) + 1
+        best_pair = min(p for p, c in counts.items() if c == max(counts.values()))
+        claimed = {t for t in remaining if set(best_pair) <= set(t)}
+        assignments[best_pair] = {(set(t) - set(best_pair)).pop() for t in claimed}
+        remaining -= claimed
+    return ReductionPlan.from_assignment(poly, assignments, mode)
+
+
+def reference_apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
+    """apply_plan as the sum of one scaled `penalty_s` polynomial per ancilla."""
+    plan.validate(poly)
+    cubic = poly.cubic_terms()
+    acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
+    registry = AncillaRegistry()
+    penalties = Polynomial.zero(poly.n)
+    for pair in plan.pairs():
+        i, j = pair
+        ks = sorted(plan.assignments[pair])
+        if plan.mode is GadgetMode.SINGLE:
+            z = avar(registry.add(PairAncilla(i, j)))
+            for k in ks:
+                alpha = cubic[tuple(sorted((i, j, k)))]
+                m = monomial([z, xvar(k)])
+                acc[m] = acc.get(m, 0) + alpha
+            key = (pair, 1)
+            penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
+        else:
+            copies = [avar(registry.add(PairCopyAncilla(i, j, m))) for m in (1, 2, 3)]
+            for k in ks:
+                betas = beta_split(cubic[tuple(sorted((i, j, k)))])
+                for z, beta in zip(copies, betas):
+                    if beta:
+                        m = monomial([z, xvar(k)])
+                        acc[m] = acc.get(m, 0) + beta
+            for m_index, z in enumerate(copies, start=1):
+                key = (pair, m_index)
+                penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
+    quadratic = Polynomial(poly.n, acc) + penalties
+    return ReducedInstance(quadratic, registry, poly.n)
+
+
+def reference_apply_quartic_plan(
+    poly: Polynomial, instance: WmaxsatInstance, selection: frozenset[int]
+) -> ReducedInstance:
+    """apply_quartic_plan as the sum of one scaled `penalty_s` polynomial per ancilla."""
+    selected_pairs, via = decode_ancilla_set(instance, selection)
+    pair_set = set(selected_pairs)
+    chained = sorted(via)
+
+    acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
+    pair_load: dict[Pair, int] = {p: 0 for p in selected_pairs}
+    triple_load: dict[Triple, int] = {t: 0 for t in chained}
+
+    registry = AncillaRegistry()
+    pair_var = {p: avar(registry.add(PairAncilla(*p))) for p in selected_pairs}
+    triple_var = {
+        t: avar(registry.add(TripleAncilla(via[t], (set(t) - set(via[t])).pop())))
+        for t in chained
+    }
+
+    def add(m: Monomial, coeff: int) -> None:
+        acc[m] = acc.get(m, 0) + coeff
+
+    for term, alpha in sorted(poly.cubic_terms().items()):
+        options = [b for b in combinations(term, 2) if b in pair_set]
+        base = min(options)
+        k = (set(term) - set(base)).pop()
+        add(monomial([pair_var[base], xvar(k)]), alpha)
+        pair_load[base] += abs(alpha)
+
+    for term, alpha in sorted(poly.quartic_terms().items()):
+        i, j, k, l = term
+        splits = (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        split = next((s for s in splits if s[0] in pair_set and s[1] in pair_set), None)
+        if split is not None:
+            add(monomial([pair_var[split[0]], pair_var[split[1]]]), alpha)
+            pair_load[split[0]] += abs(alpha)
+            pair_load[split[1]] += abs(alpha)
+            continue
+        inner = [t for t in combinations(term, 3) if t in via]
+        t = min(inner)
+        rest = (set(term) - set(t)).pop()
+        add(monomial([triple_var[t], xvar(rest)]), alpha)
+        triple_load[t] += abs(alpha)
+        pair_load[via[t]] += abs(alpha)
+
+    penalties = Polynomial.zero(poly.n)
+    for p in selected_pairs:
+        delta = 1 + pair_load[p]
+        penalties = penalties + delta * penalty_s(xvar(p[0]), xvar(p[1]), pair_var[p], poly.n)
+    for t in chained:
+        delta = 1 + triple_load[t]
+        extra = (set(t) - set(via[t])).pop()
+        penalties = penalties + delta * penalty_s(
+            pair_var[via[t]], xvar(extra), triple_var[t], poly.n
+        )
+    quadratic = Polynomial(poly.n, acc) + penalties
+    return ReducedInstance(quadratic, registry, poly.n)
