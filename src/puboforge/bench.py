@@ -66,7 +66,7 @@ class BenchConfig:
     strategies: tuple[str, ...] = ("ilp", "reduce-min")
     gadget_modes: tuple[str, ...] = ("single",)
     ilp_node_budget: int = 10**6
-    verify_fraction: float = 0.05
+    verify_fraction: float = 1.0
     verify_cap: int = 24
     measure_time: bool = False
 

@@ -35,6 +35,7 @@ from puboforge.poly import (
 )
 from puboforge.precision import greedy_precision_plan
 from puboforge.setcover import (
+    BudgetExhaustedError,
     build_set_cover,
     emit_lp,
     plan_from_cover,
@@ -42,7 +43,7 @@ from puboforge.setcover import (
     set_cover_to_ilp,
     solve_ilp_exact,
 )
-from puboforge.verify import BudgetExhaustedError, verify_reduction
+from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import (
     apply_quartic_plan,
     build_wmaxsat,
@@ -95,6 +96,13 @@ def _read_text(path: str) -> str:
         raise PuboError(f"cannot read {path}: {exc}") from exc
 
 
+def _precision(poly: Polynomial, include_offset: bool) -> int:
+    """Control precision, or 0 when no coefficient is left to measure."""
+    if not (poly.degree() or include_offset and poly):
+        return 0
+    return control_precision(poly, include_offset).control_precision
+
+
 def _cubic_pipeline(poly: Polynomial, args: argparse.Namespace):
     mode = GadgetMode(args.gadget)
     if args.strategy == "min-ancilla":
@@ -145,11 +153,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         reduced, proven = _cubic_pipeline(poly, args)
 
     include_offset = not args.precision_ignore_offset
-    if poly:
-        before = control_precision(poly, include_offset).control_precision
-        after = control_precision(reduced.quadratic, include_offset).control_precision
-    else:
-        before = after = 0
+    before = _precision(poly, include_offset)
+    after = _precision(reduced.quadratic, include_offset)
 
     out_path = args.output or str(Path(args.input).with_suffix(".qubo"))
     Path(out_path).write_text(emit_qubo(reduced))
@@ -330,12 +335,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     by_degree = {d: 0 for d in range(5)}
     for m, _ in poly:
         by_degree[len(m)] += 1
-    if poly:
-        cp = control_precision(
-            poly, include_offset=not args.precision_ignore_offset
-        ).control_precision
-    else:
-        cp = 0
+    cp = _precision(poly, not args.precision_ignore_offset)
     summary = [
         ("n", poly.n),
         ("terms", len(poly)),

@@ -13,7 +13,8 @@ created them).  Computational variables sort before ancillas, which keeps
 every serialization and iteration order deterministic.
 
 This module also owns the ``.pubo`` text format, exhaustive minimization
-(the oracle primitive the rest of the test suite leans on), the control
+(the oracle primitive the rest of the test suite leans on) and the
+subset-sum kernel that evaluates a polynomial at every point, the control
 precision report (max |coefficient| after dividing out the common gcd), and
 the exact rational conversion to Ising spin form.
 """
@@ -21,9 +22,10 @@ the exact rational conversion to Ising spin form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 MAX_DEGREE = 4
 DEFAULT_ENUMERATION_CAP = 24
@@ -328,6 +330,36 @@ class BruteForceResult:
     variables: tuple[Var, ...]
 
 
+def subset_sums(table: list[int], n: int, op: Callable[[int, int], int] = operator.add) -> list[int]:
+    """In place over a table of 2**n: each entry becomes the sum of the
+    entries at its submasks, which turns the coefficients of a multilinear
+    polynomial (keyed by variable bitmask) into its value at every point.
+
+    ``op=operator.sub`` gives the inverse (Moebius) transform, values back
+    to coefficients.  Each bit adds either 2**bit strided slices or
+    2**(n-bit-1) contiguous ones, whichever is fewer Python-level steps.
+    """
+    size = 1 << n
+    for bit in range(n):
+        half = 1 << bit
+        step = half << 1
+        if half <= size // step:
+            for j in range(half):
+                table[j + half :: step] = map(op, table[j + half :: step], table[j::step])
+        else:
+            for b in range(0, size, step):
+                table[b + half : b + step] = map(op, table[b + half : b + step], table[b : b + half])
+    return table
+
+
+def value_table(coeffs: Mapping[int, int], n: int) -> list[int]:
+    """Values at all 2**n points of the polynomial {bitmask: coefficient}."""
+    table = [0] * (1 << n)
+    for mask, c in coeffs.items():
+        table[mask] += c
+    return subset_sums(table, n)
+
+
 def brute_force_minima(poly: Polynomial, cap: int = DEFAULT_ENUMERATION_CAP) -> BruteForceResult:
     """Minimum value and complete argmin set by exhaustive enumeration.
 
@@ -339,20 +371,9 @@ def brute_force_minima(poly: Polynomial, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     if v > cap:
         raise CapExceededError(f"{v} variables exceed enumeration cap {cap}")
     position = {var: i for i, var in enumerate(variables)}
-    masked = [(c, sum(1 << position[var] for var in m)) for m, c in poly]
-    best: int | None = None
-    argmin: list[int] = []
-    for code in range(1 << v):
-        total = 0
-        for coeff, mask in masked:
-            if code & mask == mask:
-                total += coeff
-        if best is None or total < best:
-            best = total
-            argmin = [code]
-        elif total == best:
-            argmin.append(code)
-    assert best is not None
+    table = value_table({sum(1 << position[var] for var in m): c for m, c in poly}, v)
+    best = min(table)
+    argmin = [code for code, total in enumerate(table) if total == best]
     bits = frozenset(tuple((code >> i) & 1 for i in range(v)) for code in argmin)
     return BruteForceResult(best, bits, variables)
 

@@ -20,7 +20,8 @@ every triple over n variables is present, the optimum cover size is
 floor((n-1)^2/4), achieved by taking all pairs inside two halves of the
 variable set (no triple can avoid containing two variables from the same
 half), and no smaller cover exists because a triangle-free pair set on n
-vertices cannot exceed that size.
+vertices cannot exceed that size.  `verify_saturation` checks the law with
+the exact solver.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from puboforge.poly import Polynomial, PuboError
+from puboforge.poly import Polynomial, PuboError, monomial, xvar
 from puboforge.gadgets import GadgetMode, Pair, PlanError, ReductionPlan, Triple
+
+
+class BudgetExhaustedError(PuboError):
+    """The exact solver ran out of nodes before proving optimality."""
 
 
 @dataclass(frozen=True)
@@ -269,6 +274,26 @@ def mantel_construction(n: int) -> tuple[Pair, ...]:
     h = (n + 1) // 2
     pairs = list(combinations(range(1, h + 1), 2)) + list(combinations(range(h + 1, n + 1), 2))
     return tuple(sorted(pairs))
+
+
+def verify_saturation(n: int, node_budget: int = 10**6) -> bool:
+    """Check the saturation law: the complete cubic set over n variables
+    needs exactly floor((n-1)^2/4) pair ancillas.
+
+    Raises `BudgetExhaustedError` when the solver cannot prove optimality
+    within the budget, so an inconclusive run is never reported as a
+    violation of the law.
+    """
+    terms = {
+        monomial(xvar(i) for i in t): 1 for t in combinations(range(1, n + 1), 3)
+    }
+    poly = Polynomial(n, terms)
+    result = solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly)), node_budget)
+    if not result.proven_optimal:
+        raise BudgetExhaustedError(
+            f"node budget {node_budget} exhausted before proving the n={n} optimum"
+        )
+    return result.cost == quarter_squares(n)
 
 
 def emit_lp(sc: SetCoverInstance) -> str:

@@ -2,45 +2,47 @@
 
 `verify_reduction` never trusts gadget bookkeeping: it works purely from the
 term data of the original and reduced polynomials.  For every computational
-assignment it minimizes the reduced polynomial over the ancillas and demands
-equality with the original value (the pointwise check), and it compares the
-projection of the reduced argmin set onto the computational variables with
-the original argmin set (the ground-state check).
+assignment the reduced polynomial minimized over the ancillas must equal
+the original value (the pointwise check), and the projection of the reduced
+argmin set onto the computational variables must equal the original argmin
+set (the ground-state check).
 
 Minimizing over ancillas is exact joint minimization: ancillas are split
 into connected components of the "shares a quadratic term" graph, and each
-component is enumerated exhaustively.  Components are the right unit because
-chained ancillas (a triple ancilla and the pair ancilla it builds on)
-interact through their penalty terms and must be minimized together, while
-unrelated ancillas cannot influence each other.  The work is bounded by
-2**total_variables, which is why the enumeration cap applies to the total.
+component is enumerated exhaustively over its own ancillas and the x
+variables its terms touch.  Components are the right unit because chained
+ancillas (a triple ancilla and the pair ancilla it builds on) interact
+through their penalty terms and must be minimized together, while unrelated
+ancillas cannot influence each other.
+
+A pseudo-Boolean function has exactly one multilinear polynomial, so
+f(x) = min_z g(x, z) holds at every x exactly when both sides have the same
+coefficients.  Each component's minimum is turned back into coefficients by
+the inverse subset-sum transform, and a passing check compares two
+coefficient dicts without building any table over all 2**n assignments.
+Only when the coefficients differ are both sides tabulated over every x to
+find the first counterexample and compare the argmin sets.  The enumeration
+cap still applies to the total variable count.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from puboforge.gadgets import ReducedInstance
 from puboforge.poly import (
     CapExceededError,
     DEFAULT_ENUMERATION_CAP,
+    Monomial,
     Polynomial,
     PrecisionReport,
-    PuboError,
     Var,
     control_precision,
+    subset_sums,
+    value_table,
     xvar,
 )
-from puboforge.setcover import (
-    build_set_cover,
-    quarter_squares,
-    set_cover_to_ilp,
-    solve_ilp_exact,
-)
-
-
-class BudgetExhaustedError(PuboError):
-    """The exact solver ran out of nodes before proving optimality."""
 
 
 @dataclass(frozen=True)
@@ -57,61 +59,41 @@ class VerificationReport:
         return self.pointwise_ok and self.ground_state_ok
 
 
-def _computational_table(poly: Polynomial) -> list[int]:
-    """Value of a computational-only polynomial at every assignment.
+def _x_mask(m: Monomial) -> int:
+    """Bitmask of a monomial's computational variables; bit (i-1) is x_i."""
+    return sum(1 << (v.index - 1) for v in m if not v.is_ancilla)
 
-    Index code bit (i-1) holds the value of x_i.
-    """
+
+def _computational_coefficients(poly: Polynomial) -> dict[int, int]:
+    """Coefficients of a computational-only polynomial, keyed by x bitmask."""
     if poly.referenced_ancillas():
         raise ValueError("original polynomial must not reference ancillas")
-    masked = []
-    for m, c in poly:
-        mask = 0
-        for v in m:
-            mask |= 1 << (v.index - 1)
-        masked.append((c, mask))
-    table = []
-    for code in range(1 << poly.n):
-        total = 0
-        for coeff, mask in masked:
-            if code & mask == mask:
-                total += coeff
-        table.append(total)
-    return table
+    return {_x_mask(m): c for m, c in poly}
 
 
-def _min_over_ancilla_table(reduced: ReducedInstance) -> list[int]:
-    """min over ancilla assignments of the reduced value, for every x.
+def _min_over_ancilla_coefficients(reduced: ReducedInstance) -> dict[int, int]:
+    """Coefficients of x -> min over ancilla assignments of the reduced value.
 
     Exact joint minimization via connected components of the ancilla
-    interaction graph.
+    interaction graph, each tabulated over its ancillas and x-neighbourhood.
     """
-    n = reduced.source_n
-    comp_terms: list[tuple[int, int]] = []
-    anc_terms: list[tuple[int, int, tuple[int, ...]]] = []
-    for m, c in reduced.quadratic:
-        comp_mask = 0
-        slots = []
-        for v in m:
-            if v.is_ancilla:
-                slots.append(v.index)
-            else:
-                comp_mask |= 1 << (v.index - 1)
-        if slots:
-            anc_terms.append((c, comp_mask, tuple(slots)))
-        else:
-            comp_terms.append((c, comp_mask))
+    coeffs: dict[int, int] = {}
+    anc_terms: list[tuple[Monomial, int, Var]] = []
+    # Union-find over ancillas that co-occur in a term.
+    parent: dict[Var, Var] = {}
 
-    # Union-find over ancilla slots that co-occur in a term.
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
+    def find(a: Var) -> Var:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for _, _, slots in anc_terms:
+    for m, c in reduced.quadratic:
+        slots = [v for v in m if v.is_ancilla]
+        if not slots:
+            coeffs[_x_mask(m)] = c
+            continue
+        anc_terms.append((m, c, slots[0]))
         for s in slots:
             parent.setdefault(s, s)
         if len(slots) == 2:
@@ -119,41 +101,28 @@ def _min_over_ancilla_table(reduced: ReducedInstance) -> list[int]:
             if ra != rb:
                 parent[ra] = rb
 
-    groups: dict[int, list[int]] = {}
-    for s in parent:
-        groups.setdefault(find(s), []).append(s)
-    components = []
-    for root in sorted(groups):
-        slots = sorted(groups[root])
-        local = {s: i for i, s in enumerate(slots)}
-        terms = []
-        for c, comp_mask, term_slots in anc_terms:
-            if find(term_slots[0]) == root:
-                anc_mask = 0
-                for s in term_slots:
-                    anc_mask |= 1 << local[s]
-                terms.append((c, comp_mask, anc_mask))
-        components.append((len(slots), terms))
-
-    table = []
-    for code in range(1 << n):
-        total = 0
-        for coeff, mask in comp_terms:
-            if code & mask == mask:
-                total += coeff
-        for width, terms in components:
-            best = None
-            for acode in range(1 << width):
-                value = 0
-                for coeff, comp_mask, anc_mask in terms:
-                    if code & comp_mask == comp_mask and acode & anc_mask == anc_mask:
-                        value += coeff
-                if best is None or value < best:
-                    best = value
-            assert best is not None
-            total += best
-        table.append(total)
-    return table
+    components: dict[Var, list[tuple[Monomial, int]]] = {}
+    for m, c, slot in anc_terms:
+        components.setdefault(find(slot), []).append((m, c))
+    for terms in components.values():
+        # Computational variables sort first: they take the low local bits.
+        local = sorted({v for m, _ in terms for v in m})
+        xs = [v for v in local if not v.is_ancilla]
+        position = {v: i for i, v in enumerate(local)}
+        table = [0] * (1 << len(local))
+        for m, c in terms:
+            table[sum(1 << position[v] for v in m)] += c
+        subset_sums(table, len(local))
+        size = 1 << len(xs)
+        best = table[:size]
+        for start in range(size, len(table), size):
+            best = list(map(min, best, table[start : start + size]))
+        subset_sums(best, len(xs), operator.sub)
+        for code, c in enumerate(best):
+            if c:
+                mask = _x_mask(tuple(v for i, v in enumerate(xs) if code >> i & 1))
+                coeffs[mask] = coeffs.get(mask, 0) + c
+    return coeffs
 
 
 def verify_reduction(
@@ -161,7 +130,7 @@ def verify_reduction(
     reduced: ReducedInstance,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
-    """Pointwise and ground-state checks of a reduction, by enumeration."""
+    """Pointwise and ground-state checks of a reduction, exact for every x."""
     if original.n != reduced.source_n:
         raise ValueError(
             f"variable count mismatch: original has {original.n}, reduced declares {reduced.source_n}"
@@ -170,25 +139,22 @@ def verify_reduction(
     if total_vars > cap:
         raise CapExceededError(f"{total_vars} total variables exceed enumeration cap {cap}")
 
-    original_table = _computational_table(original)
-    reduced_table = _min_over_ancilla_table(reduced)
+    original_coeffs = _computational_coefficients(original)
+    reduced_coeffs = {m: c for m, c in _min_over_ancilla_coefficients(reduced).items() if c}
 
     counterexample: dict[Var, int] | None = None
-    pointwise_ok = True
-    for code, (want, got) in enumerate(zip(original_table, reduced_table)):
-        if want != got:
-            pointwise_ok = False
-            counterexample = {xvar(i): (code >> (i - 1)) & 1 for i in range(1, original.n + 1)}
-            break
-
-    ground_min = min(original_table) if original_table else 0
-    reduced_min = min(reduced_table) if reduced_table else 0
-    original_argmin = {c for c, v in enumerate(original_table) if v == ground_min}
-    projected_argmin = {c for c, v in enumerate(reduced_table) if v == reduced_min}
-    ground_state_ok = original_argmin == projected_argmin
-    if not ground_state_ok and counterexample is None:
-        code = min(original_argmin ^ projected_argmin)
+    pointwise_ok = ground_state_ok = original_coeffs == reduced_coeffs
+    if not pointwise_ok:
+        # Different coefficients mean different values at some x; the first
+        # such x is the counterexample.
+        original_table = value_table(original_coeffs, original.n)
+        reduced_table = value_table(reduced_coeffs, original.n)
+        code = next(c for c, (want, got) in enumerate(zip(original_table, reduced_table)) if want != got)
         counterexample = {xvar(i): (code >> (i - 1)) & 1 for i in range(1, original.n + 1)}
+        ground_min, reduced_min = min(original_table), min(reduced_table)
+        original_argmin = {c for c, v in enumerate(original_table) if v == ground_min}
+        projected_argmin = {c for c, v in enumerate(reduced_table) if v == reduced_min}
+        ground_state_ok = original_argmin == projected_argmin
 
     return VerificationReport(
         pointwise_ok,
@@ -199,26 +165,3 @@ def verify_reduction(
         reduced.ancilla_count(),
     )
 
-
-def verify_saturation(n: int, node_budget: int = 10**6) -> bool:
-    """Check the saturation law: the complete cubic set over n variables
-    needs exactly floor((n-1)^2/4) pair ancillas.
-
-    Raises `BudgetExhaustedError` when the solver cannot prove optimality
-    within the budget, so an inconclusive run is never reported as a
-    violation of the law.
-    """
-    from itertools import combinations
-
-    from puboforge.poly import monomial
-
-    terms = {
-        monomial(xvar(i) for i in t): 1 for t in combinations(range(1, n + 1), 3)
-    }
-    poly = Polynomial(n, terms)
-    result = solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly)), node_budget)
-    if not result.proven_optimal:
-        raise BudgetExhaustedError(
-            f"node budget {node_budget} exhausted before proving the n={n} optimum"
-        )
-    return result.cost == quarter_squares(n)

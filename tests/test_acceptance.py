@@ -36,8 +36,9 @@ from puboforge.setcover import (
     reduce_min_greedy,
     set_cover_to_ilp,
     solve_ilp_exact,
+    verify_saturation,
 )
-from puboforge.verify import verify_reduction, verify_saturation
+from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import (
     apply_quartic_plan,
     build_wmaxsat,

@@ -134,6 +134,23 @@ class TestCompile:
         assert "ancilla: 2" in out
         assert "proven optimal: no" in out
 
+    @pytest.mark.parametrize(
+        "text, flags, before",
+        [
+            ("p pubo 2\nc 5\n", ["--precision-ignore-offset"], 0),
+            ("p pubo 2\nc 5\n", [], 1),
+            ("p pubo 3\nc 12\n2 1 2\n", ["--precision-ignore-offset"], 1),
+            ("p pubo 3\nc 12\n2 1 2\n", [], 6),
+        ],
+    )
+    def test_precision_ignore_offset(self, tmp_path, capsys, text, flags, before):
+        src = tmp_path / "k.pubo"
+        src.write_text(text)
+        args = ["compile", str(src), "-o", str(tmp_path / "k.qubo"), "--json"]
+        assert run(args + flags) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["precision_before"] == obj["precision_after"] == before
+
     def test_unknown_strategy_rejected_by_parser(self, worked):
         with pytest.raises(SystemExit):
             run(["compile", str(worked), "--strategy", "anneal"])
@@ -316,6 +333,21 @@ class TestEmitWcnf:
 
 
 class TestStats:
+    @pytest.mark.parametrize(
+        "text, flags, expected",
+        [
+            ("p pubo 2\nc 5\n", ["--precision-ignore-offset"], 0),
+            ("p pubo 2\nc 5\n", [], 1),
+            ("p pubo 3\nc 12\n2 1 2\n", ["--precision-ignore-offset"], 1),
+            ("p pubo 3\nc 12\n2 1 2\n", [], 6),
+        ],
+    )
+    def test_precision_ignore_offset(self, tmp_path, capsys, text, flags, expected):
+        src = tmp_path / "k.pubo"
+        src.write_text(text)
+        assert run(["stats", str(src), "--json"] + flags) == 0
+        assert json.loads(capsys.readouterr().out)["control_precision"] == expected
+
     def test_basic_counts(self, worked, capsys):
         assert run(["stats", str(worked)]) == 0
         out = capsys.readouterr().out

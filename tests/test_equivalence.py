@@ -1,11 +1,14 @@
-"""The incremental planners and one-pass materializers against slow references.
+"""The incremental planners, one-pass materializers and the
+coefficient-comparing oracle against slow references.
 
 The references in util.py rescore or recount every remaining term each
-round and build each penalty as its own polynomial.  Small coefficients
-(+-1..2) make ties in the burden w, in the occurrence counts and in the
-ReduceMin pair counts common, so the tie-breaks are exercised too.
+round, build each penalty as its own polynomial, and verify by evaluating
+both sides at every assignment.  Small coefficients (+-1..2) make ties in
+the burden w, in the occurrence counts and in the ReduceMin pair counts
+common, so the tie-breaks are exercised too.
 """
 
+import operator
 import random
 from itertools import combinations, product
 
@@ -14,20 +17,33 @@ import pytest
 from puboforge.gadgets import (
     _PENALTY_ROWS,
     GadgetMode,
+    ReducedInstance,
     ReductionPlan,
     apply_plan,
     emit_qubo,
     exhaustive_penalty_search,
 )
-from puboforge.poly import Polynomial, monomial, xvar
+from puboforge.poly import (
+    CapExceededError,
+    Polynomial,
+    avar,
+    brute_force_minima,
+    monomial,
+    subset_sums,
+    value_table,
+    xvar,
+)
 from puboforge.precision import greedy_precision_plan
 from puboforge.setcover import reduce_min_greedy
+from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
 from util import (
+    random_poly,
     reference_apply_plan,
     reference_apply_quartic_plan,
     reference_greedy_precision_plan,
     reference_reduce_min_greedy,
+    reference_verify_reduction,
 )
 
 SMALL = (-2, -1, 1, 2)
@@ -73,16 +89,20 @@ def test_apply_plan_bytes_match_reference(mode):
         assert emit_qubo(apply_plan(poly, plan)) == emit_qubo(reference_apply_plan(poly, plan))
 
 
+def random_quartic(rng, n):
+    """Random degree-4 instance: 1-3 quartic, 0-4 cubic, 0-6 quadratic terms."""
+    terms = {}
+    for d, count in ((4, rng.randint(1, 3)), (3, rng.randint(0, 4)), (2, rng.randint(0, 6))):
+        subsets = list(combinations(range(1, n + 1), d))
+        for t in rng.sample(subsets, min(count, len(subsets))):
+            terms[monomial([xvar(v) for v in t])] = rng.choice(SMALL)
+    return Polynomial(n, terms)
+
+
 def test_apply_quartic_plan_bytes_match_reference():
     rng = random.Random("equivalence:quartic")
     for i in range(60):
-        n = rng.randint(4, 7)
-        terms = {}
-        for d, count in ((4, rng.randint(1, 3)), (3, rng.randint(0, 4)), (2, rng.randint(0, 6))):
-            subsets = list(combinations(range(1, n + 1), d))
-            for t in rng.sample(subsets, min(count, len(subsets))):
-                terms[monomial([xvar(v) for v in t])] = rng.choice(SMALL)
-        poly = Polynomial(n, terms)
+        poly = random_quartic(rng, rng.randint(4, 7))
         instance = build_wmaxsat(poly)
         selections = [frozenset(range(1, instance.num_vars + 1))]
         if i % 4 == 0:
@@ -104,3 +124,121 @@ def test_penalty_search_matches_full_brute_force():
     result = exhaustive_penalty_search(bound)
     assert result.min_max_coeff == best
     assert result.optima == tuple(sorted(c for c in valid if max(map(abs, c)) == best))
+
+
+def chain_selection(rng, poly, instance):
+    """Selectors that push each quartic term through a triple ancilla chain."""
+    chosen = set()
+    for term in poly.quartic_terms():
+        triple = rng.choice(list(combinations(term, 3)))
+        chosen.add(instance.index_of(triple))
+        chosen.add(instance.index_of(rng.choice(list(combinations(triple, 2)))))
+    for term in poly.cubic_terms():
+        chosen.add(instance.index_of(rng.choice(list(combinations(term, 2)))))
+    return frozenset(chosen)
+
+
+def perturbed(rng, reduced, kind):
+    """The reduction plus one extra term: a constant, an x term or an ancilla term."""
+    n, slots = reduced.source_n, len(reduced.registry)
+    xs = [xvar(i) for i in rng.sample(range(1, n + 1), rng.randint(1, min(2, n)))]
+    if kind == "shift":
+        mono = ()
+    elif kind == "x" or not slots:
+        mono = monomial(xs)
+    else:
+        mono = monomial([avar(rng.randrange(slots))] + rng.choice(([], xs[:1], [avar(rng.randrange(slots))])))
+    extra = Polynomial(n, {mono: rng.choice((-2, -1, 1, 2))})
+    return ReducedInstance(reduced.quadratic + extra, reduced.registry, n)
+
+
+def underweighted(rng, poly, plan):
+    """The plan with every penalty weight lowered by 1 or 2 (never below 1)."""
+    deltas = {k: max(1, d - rng.randint(1, 2)) for k, d in plan.deltas.items()}
+    return apply_plan(poly, ReductionPlan(plan.mode, plan.assignments, deltas))
+
+
+def oracle_cases():
+    """(original, reduced) pairs: sound reductions and broken ones alike."""
+    rng = random.Random("equivalence:oracle")
+    broken = ("shift", "x", "ancilla", "delta")
+    cases = []
+    for i in range(450):
+        mode = GadgetMode.TRIPLE if i % 3 == 2 else GadgetMode.SINGLE
+        poly = tie_heavy_cubic(rng, rng.randint(3, 5 if mode is GadgetMode.TRIPLE else 7))
+        plan = (reduce_min_greedy, greedy_precision_plan)[i % 4 // 2](poly, mode)
+        kind = "sound" if i % 2 else broken[i // 2 % 4]
+        if kind == "delta":
+            cases.append((poly, underweighted(rng, poly, plan)))
+        elif kind == "sound":
+            cases.append((poly, apply_plan(poly, plan)))
+        else:
+            cases.append((poly, perturbed(rng, apply_plan(poly, plan), kind)))
+    for i in range(160):
+        poly = random_quartic(rng, rng.randint(4, 7))
+        instance = build_wmaxsat(poly)
+        selection = chain_selection(rng, poly, instance) if i % 4 < 2 else solve_wmaxsat_exact(instance, 2000).selection
+        reduced = apply_quartic_plan(poly, instance, selection)
+        kind = "sound" if i % 2 else broken[i // 2 % 3]  # "delta" needs a ReductionPlan
+        cases.append((poly, reduced if kind == "sound" else perturbed(rng, reduced, kind)))
+    return cases
+
+
+def verdict(check, original, reduced):
+    try:
+        return check(original, reduced)
+    except CapExceededError:
+        return "cap"
+
+
+def test_verify_reduction_matches_reference():
+    cases = oracle_cases()
+    verdicts = [verdict(verify_reduction, p, r) for p, r in cases]
+    assert verdicts == [verdict(reference_verify_reduction, p, r) for p, r in cases]
+    reports = [v for v in verdicts if v != "cap"]
+    assert len(reports) >= 500
+    assert 200 <= sum(v.ok for v in reports) <= len(reports) - 200
+    assert any(v.pointwise_ok != v.ground_state_ok for v in reports)
+
+
+def test_verify_reduction_one_component_over_every_variable():
+    # A ring of quartic terms reduced through disjoint pairs: the products
+    # z12 z34, z34 z56, ... chain all five pair ancillas into one component
+    # whose terms touch all ten x variables.
+    ring = [(1, 2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8), (7, 8, 9, 10), (1, 2, 9, 10)]
+    poly = Polynomial(10, {monomial([xvar(v) for v in t]): c for t, c in zip(ring, (3, -2, 5, -1, 2))})
+    instance = build_wmaxsat(poly)
+    pairs = [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
+    reduced = apply_quartic_plan(poly, instance, frozenset(instance.index_of(p) for p in pairs))
+    assert reduced.total_variables() == 15
+    rng = random.Random("equivalence:ring")
+    for candidate in (reduced, perturbed(rng, reduced, "ancilla"), perturbed(rng, reduced, "shift")):
+        assert verify_reduction(poly, candidate) == reference_verify_reduction(poly, candidate)
+    assert verify_reduction(poly, reduced).ok
+
+
+def test_subset_sums_against_brute_force():
+    rng = random.Random("equivalence:kernel")
+    for n in range(11):
+        for _ in range(3):
+            coeffs = {rng.randrange(1 << n): rng.randint(-10**20, 10**20) for _ in range(rng.randint(0, 3 * n + 1))}
+            table = value_table(coeffs, n)
+            assert table == [sum(c for m, c in coeffs.items() if m & x == m) for x in range(1 << n)]
+            back = subset_sums(table, n, operator.sub)
+            assert {m: c for m, c in enumerate(back) if c} == {m: c for m, c in coeffs.items() if c}
+
+
+def test_brute_force_minima_against_evaluate():
+    rng = random.Random("equivalence:minima")
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        poly = random_poly(rng, n, rng.randint(0, 8), max_degree=min(4, n))
+        if n and rng.random() < 0.5:
+            poly = poly + Polynomial(n, {(avar(rng.randrange(3)), xvar(rng.randint(1, n))): rng.choice(SMALL)})
+        res = brute_force_minima(poly)
+        values = {
+            bits: poly.evaluate(dict(zip(res.variables, bits)))
+            for bits in product((0, 1), repeat=len(res.variables))
+        }
+        assert res.value == min(values.values())
+        assert res.minimizers == {b for b, v in values.items() if v == res.value}

@@ -8,11 +8,8 @@ from puboforge.gadgets import (
     apply_plan,
 )
 from puboforge.poly import CapExceededError, Polynomial, monomial, xvar
-from puboforge.verify import (
-    BudgetExhaustedError,
-    verify_reduction,
-    verify_saturation,
-)
+from puboforge.setcover import BudgetExhaustedError, verify_saturation
+from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
 from util import poly_of
 

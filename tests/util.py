@@ -22,7 +22,18 @@ from puboforge.gadgets import (
     delta_for_group,
     penalty_s,
 )
-from puboforge.poly import Monomial, Polynomial, avar, monomial, xvar
+from puboforge.poly import (
+    DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
+    Monomial,
+    Polynomial,
+    Var,
+    avar,
+    control_precision,
+    monomial,
+    xvar,
+)
+from puboforge.verify import VerificationReport
 from puboforge.wmaxsat import WmaxsatInstance, decode_ancilla_set
 
 
@@ -273,3 +284,154 @@ def reference_apply_quartic_plan(
         )
     quadratic = Polynomial(poly.n, acc) + penalties
     return ReducedInstance(quadratic, registry, poly.n)
+
+
+# ---------------------------------------------------------------------------
+# Slow reference oracle: the verifier that evaluates both sides at every
+# computational assignment, term by term, and minimizes each ancilla
+# component by trying every ancilla pattern at every point.  The
+# coefficient-comparing verifier must return equal reports.
+# ---------------------------------------------------------------------------
+
+
+def reference_computational_table(poly: Polynomial) -> list[int]:
+    """Value of a computational-only polynomial at every assignment.
+
+    Index code bit (i-1) holds the value of x_i.
+    """
+    if poly.referenced_ancillas():
+        raise ValueError("original polynomial must not reference ancillas")
+    masked = []
+    for m, c in poly:
+        mask = 0
+        for v in m:
+            mask |= 1 << (v.index - 1)
+        masked.append((c, mask))
+    table = []
+    for code in range(1 << poly.n):
+        total = 0
+        for coeff, mask in masked:
+            if code & mask == mask:
+                total += coeff
+        table.append(total)
+    return table
+
+
+def reference_min_over_ancilla_table(reduced: ReducedInstance) -> list[int]:
+    """min over ancilla assignments of the reduced value, for every x.
+
+    Exact joint minimization via connected components of the ancilla
+    interaction graph.
+    """
+    n = reduced.source_n
+    comp_terms: list[tuple[int, int]] = []
+    anc_terms: list[tuple[int, int, tuple[int, ...]]] = []
+    for m, c in reduced.quadratic:
+        comp_mask = 0
+        slots = []
+        for v in m:
+            if v.is_ancilla:
+                slots.append(v.index)
+            else:
+                comp_mask |= 1 << (v.index - 1)
+        if slots:
+            anc_terms.append((c, comp_mask, tuple(slots)))
+        else:
+            comp_terms.append((c, comp_mask))
+
+    # Union-find over ancilla slots that co-occur in a term.
+    parent: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for _, _, slots in anc_terms:
+        for s in slots:
+            parent.setdefault(s, s)
+        if len(slots) == 2:
+            ra, rb = find(slots[0]), find(slots[1])
+            if ra != rb:
+                parent[ra] = rb
+
+    groups: dict[int, list[int]] = {}
+    for s in parent:
+        groups.setdefault(find(s), []).append(s)
+    components = []
+    for root in sorted(groups):
+        slots = sorted(groups[root])
+        local = {s: i for i, s in enumerate(slots)}
+        terms = []
+        for c, comp_mask, term_slots in anc_terms:
+            if find(term_slots[0]) == root:
+                anc_mask = 0
+                for s in term_slots:
+                    anc_mask |= 1 << local[s]
+                terms.append((c, comp_mask, anc_mask))
+        components.append((len(slots), terms))
+
+    table = []
+    for code in range(1 << n):
+        total = 0
+        for coeff, mask in comp_terms:
+            if code & mask == mask:
+                total += coeff
+        for width, terms in components:
+            best = None
+            for acode in range(1 << width):
+                value = 0
+                for coeff, comp_mask, anc_mask in terms:
+                    if code & comp_mask == comp_mask and acode & anc_mask == anc_mask:
+                        value += coeff
+                if best is None or value < best:
+                    best = value
+            assert best is not None
+            total += best
+        table.append(total)
+    return table
+
+
+def reference_verify_reduction(
+    original: Polynomial,
+    reduced: ReducedInstance,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> VerificationReport:
+    """Pointwise and ground-state checks of a reduction, by enumeration."""
+    if original.n != reduced.source_n:
+        raise ValueError(
+            f"variable count mismatch: original has {original.n}, reduced declares {reduced.source_n}"
+        )
+    total_vars = reduced.total_variables()
+    if total_vars > cap:
+        raise CapExceededError(f"{total_vars} total variables exceed enumeration cap {cap}")
+
+    original_table = reference_computational_table(original)
+    reduced_table = reference_min_over_ancilla_table(reduced)
+
+    counterexample: dict[Var, int] | None = None
+    pointwise_ok = True
+    for code, (want, got) in enumerate(zip(original_table, reduced_table)):
+        if want != got:
+            pointwise_ok = False
+            counterexample = {xvar(i): (code >> (i - 1)) & 1 for i in range(1, original.n + 1)}
+            break
+
+    ground_min = min(original_table) if original_table else 0
+    reduced_min = min(reduced_table) if reduced_table else 0
+    original_argmin = {c for c, v in enumerate(original_table) if v == ground_min}
+    projected_argmin = {c for c, v in enumerate(reduced_table) if v == reduced_min}
+    ground_state_ok = original_argmin == projected_argmin
+    if not ground_state_ok and counterexample is None:
+        code = min(original_argmin ^ projected_argmin)
+        counterexample = {xvar(i): (code >> (i - 1)) & 1 for i in range(1, original.n + 1)}
+
+    return VerificationReport(
+        pointwise_ok,
+        ground_state_ok,
+        counterexample,
+        control_precision(original) if original else None,
+        control_precision(reduced.quadratic) if reduced.quadratic else None,
+        reduced.ancilla_count(),
+    )
