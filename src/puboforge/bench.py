@@ -15,9 +15,9 @@ variable ``PUBO_FORGE_THREADS`` caps worker processes; parallel runs
 merge per-instance results in index order, so the CSV does not depend on
 the worker count.
 
-A configurable subsample of every sweep (default 5%, within the
-enumeration cap) is re-checked against the independent oracle; any
-failure aborts the run rather than producing a wrong row.
+Every instance of a sweep within the verifier's enumeration cap is
+re-checked against the independent oracle; any failure aborts the run
+rather than producing a wrong row.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from puboforge.gadgets import GadgetMode, ReductionPlan, apply_plan
-from puboforge.poly import Polynomial, PuboError, control_precision, monomial, xvar
+from puboforge.poly import DEFAULT_ENUMERATION_CAP, Polynomial, PuboError, control_precision, monomial, xvar
 from puboforge.precision import arbitrary_plan, greedy_precision_plan
 from puboforge.setcover import (
     build_set_cover,
@@ -65,9 +65,6 @@ class BenchConfig:
     seed: int = 0
     strategies: tuple[str, ...] = ("ilp", "reduce-min")
     gadget_modes: tuple[str, ...] = ("single",)
-    ilp_node_budget: int = 10**6
-    verify_fraction: float = 1.0
-    verify_cap: int = 24
     measure_time: bool = False
 
     def __post_init__(self) -> None:
@@ -87,8 +84,6 @@ class BenchConfig:
                 raise ValueError(f"unknown strategy {s!r}")
         for m in self.gadget_modes:
             GadgetMode(m)
-        if not 0.0 <= self.verify_fraction <= 1.0:
-            raise ValueError("verify_fraction must be within 0..1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ def _plan_for(
     """Build the strategy's plan; the flag reports proven optimality."""
     if strategy == "ilp":
         sc = build_set_cover(poly)
-        result = solve_ilp_exact(set_cover_to_ilp(sc), config.ilp_node_budget)
+        result = solve_ilp_exact(set_cover_to_ilp(sc))
         return plan_from_cover(sc, result.selection, poly, mode), result.proven_optimal
     if strategy == "reduce-min":
         return reduce_min_greedy(poly, mode), False
@@ -148,10 +143,6 @@ def _plan_for(
 
 def _instance_records(config: BenchConfig, index: int) -> list[BenchRecord]:
     poly = random_pubo(config, index)
-    stride = (
-        max(1, round(1 / config.verify_fraction)) if config.verify_fraction > 0 else 0
-    )
-    check = stride > 0 and index % stride == 0
     records = []
     for strategy in config.strategies:
         for mode_name in config.gadget_modes:
@@ -169,14 +160,12 @@ def _instance_records(config: BenchConfig, index: int) -> list[BenchRecord]:
             else:
                 before = after = 0
                 increase = 0.0
-            if check and reduced.total_variables() <= config.verify_cap:
-                report = verify_reduction(poly, reduced, cap=config.verify_cap)
-                if not report.ok:
-                    raise PuboError(
-                        f"oracle failure: strategy={strategy} mode={mode_name} "
-                        f"n={config.n} lam={config.lam} seed={config.seed} "
-                        f"index={index}"
-                    )
+            if reduced.total_variables() <= DEFAULT_ENUMERATION_CAP and not verify_reduction(poly, reduced).ok:
+                raise PuboError(
+                    f"oracle failure: strategy={strategy} mode={mode_name} "
+                    f"n={config.n} lam={config.lam} seed={config.seed} "
+                    f"index={index}"
+                )
             records.append(
                 BenchRecord(
                     n=config.n,

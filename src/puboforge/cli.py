@@ -2,11 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 input error (unparsable files, unsupported degree, bad flag combos),
-3 resource cap exceeded (enumeration cap, solver node budget).
+3 resource cap exceeded (the verifier's enumeration cap).  A solver that
+exhausts its node budget is not an error: compile writes the best
+reduction found and reports ``proven optimal: no``.
 
-Every file written is a deterministic function of the input bytes, the
-flags, and the seed.  ``--json`` switches the human-readable summary to
-one flat JSON object on standard output.
+Every file written is a deterministic function of the input bytes and the
+flags.  ``--json`` switches the human-readable summary to one flat JSON
+object on standard output.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from puboforge.poly import (
 )
 from puboforge.precision import greedy_precision_plan
 from puboforge.setcover import (
-    BudgetExhaustedError,
     build_set_cover,
     emit_lp,
     plan_from_cover,
@@ -366,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--strategy", choices=STRATEGIES, default="min-ancilla")
     p_compile.add_argument("--gadget", choices=[m.value for m in GadgetMode], default="single")
     p_compile.add_argument("--ilp-budget", type=int, default=10**6, help="solver node budget")
-    p_compile.add_argument("--seed", type=int, default=0, help="seed recorded for deterministic reruns")
+    p_compile.add_argument("--seed", type=int, default=0, help="ignored: compile output does not depend on a seed")
     p_compile.add_argument("--verify", action="store_true", help="check the reduction against the enumeration oracle")
     p_compile.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="verification variable cap")
     p_compile.add_argument("--emit-lp", metavar="PATH", help="also write the covering ILP in LP format (cubic input)")
@@ -426,7 +427,7 @@ def run(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceededError, BudgetExhaustedError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PuboError, ValueError, OSError) as exc:

@@ -22,7 +22,8 @@ copy of s binding z to x_i*x_j.  Two gadget modes are supported:
   what keeps control precision low on crowded instances.
 
 A `ReductionPlan` records which pair absorbs each cubic term and the penalty
-weights; `apply_plan` materializes it into a quadratic `ReducedInstance`.
+weights; `apply_plan` hands its ancillas, product terms and deltas to
+`materialize`, which the quartic path shares, to build a `ReducedInstance`.
 This module also owns the `.qubo` text format, which carries the quadratic
 together with the ancilla map needed to interpret it.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping, MutableMapping
+from typing import Iterable, Iterator, Mapping, MutableMapping, Sequence
 
 from puboforge.poly import (
     DegreeError,
@@ -139,9 +140,6 @@ class AncillaRegistry:
     def __iter__(self) -> Iterator[AncillaDef]:
         return iter(self._defs)
 
-    def __contains__(self, definition: AncillaDef) -> bool:
-        return definition in self._index
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AncillaRegistry):
             return NotImplemented
@@ -232,14 +230,20 @@ def verify_penalty_minimality() -> int:
 def delta_for_group(coeffs: Iterable[int]) -> int:
     """Smallest penalty weight that strictly dominates a coefficient group.
 
-    For the cubic terms sharing one pair ancilla, wrong ancilla values can
-    harvest at most max(sum of positive coefficients, -(sum of negatives));
-    one more than that makes every wrong value strictly worse.
+    Wrong ancilla values can harvest at most max(sum of positive
+    coefficients, -(sum of negatives)) from the terms that depend on the
+    ancilla; one more makes every wrong value strictly worse.  Cubic plans
+    and quartic selections both size every delta with this one rule.
     """
-    cs = list(coeffs)
-    if not cs:
+    positive = total = size = 0
+    for c in coeffs:
+        size += 1
+        total += c
+        if c > 0:
+            positive += c
+    if not size:
         raise ValueError("delta is undefined for an empty coefficient group")
-    return 1 + max(sum(c for c in cs if c > 0), -sum(c for c in cs if c < 0))
+    return 1 + max(positive, positive - total)
 
 
 def beta_split(alpha: int) -> tuple[int, int, int]:
@@ -251,23 +255,6 @@ def beta_split(alpha: int) -> tuple[int, int, int]:
     if r == 1:
         return ((alpha + 2) // 3, (alpha - 1) // 3, (alpha - 1) // 3)
     return ((alpha + 1) // 3, (alpha + 1) // 3, (alpha - 2) // 3)
-
-
-def reduce_single_term(alpha: int, triple: Triple, pair: Pair, ancilla: Var, n: int) -> Polynomial:
-    """Quadratic fragment replacing alpha*x_i*x_j*x_k via one fresh ancilla.
-
-    The fragment is alpha*(z*x_k) + (1+|alpha|)*s(x_i, x_j, z) with (i, j)
-    the chosen pair and k the remaining index of the triple.
-    """
-    if alpha == 0:
-        raise ValueError("cannot reduce a zero term")
-    i, j = pair
-    rest = set(triple) - {i, j}
-    if len(set(triple)) != 3 or len(rest) != 1 or not {i, j} <= set(triple):
-        raise ValueError(f"pair {pair} is not inside triple {triple}")
-    (k,) = rest
-    fragment = Polynomial(n, {monomial([ancilla, xvar(k)]): alpha})
-    return fragment + (1 + abs(alpha)) * penalty_s(xvar(i), xvar(j), ancilla, n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,42 +379,52 @@ class ReducedInstance:
                 out[avar(slot)] = x[xvar(i)] * x[xvar(j)] * x[xvar(k)]
         return out
 
-    def decode_assignment(self, full: Mapping[Var, int]) -> dict[Var, int]:
-        """Project a full assignment back onto the computational variables."""
-        return {xvar(i): full[xvar(i)] for i in range(1, self.source_n + 1)}
+
+def materialize(
+    poly: Polynomial, defs: Sequence[AncillaDef], products: Mapping[Monomial, int], deltas: Sequence[int]
+) -> ReducedInstance:
+    """The reduced instance: poly's terms of degree < 3, the ``products``
+    that replace its higher terms, and for each ancilla of ``defs`` (in slot
+    order) its ``deltas`` entry times s, bound to (x_i, x_j) for a pair or
+    pair copy and to (z_base, x_k) for a triple chained through z_base."""
+    registry = AncillaRegistry(defs)
+    acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
+    acc.update(products)  # every product names an ancilla, so none is a term of poly
+    for slot, (d, delta) in enumerate(zip(registry, deltas, strict=True)):
+        if isinstance(d, TripleAncilla):
+            add_penalty(acc, registry.var_for(PairAncilla(*d.pair)), xvar(d.k), avar(slot), delta)
+        else:
+            add_penalty(acc, xvar(d.i), xvar(d.j), avar(slot), delta)
+    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
 
 
 def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
     """Materialize a plan: quadratic polynomial + ancilla registry.
 
-    Ancillas are created in sorted (i, j, copy) order.  Non-cubic source
-    terms pass through unchanged; each pair contributes its grouped product
-    terms and one scaled penalty per ancilla copy.
+    Ancillas are created in sorted (i, j, copy) order.  Each pair
+    contributes its grouped product terms, and each ancilla copy the
+    penalty weight the plan records for it.
     """
     plan.validate(poly)
     cubic = poly.cubic_terms()
-    acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
-    registry = AncillaRegistry()
+    single = plan.mode is GadgetMode.SINGLE
+    defs: list[AncillaDef] = []
+    products: dict[Monomial, int] = {}
+    deltas: list[int] = []
     for pair in plan.pairs():
-        i, j = pair
-        ks = sorted(plan.assignments[pair])
-        if plan.mode is GadgetMode.SINGLE:
-            copies = [avar(registry.add(PairAncilla(i, j)))]
-            splits = [(cubic[tuple(sorted((i, j, k)))],) for k in ks]
-        else:
-            copies = [avar(registry.add(PairCopyAncilla(i, j, m))) for m in (1, 2, 3)]
-            splits = [beta_split(cubic[tuple(sorted((i, j, k)))]) for k in ks]
-        for k, betas in zip(ks, splits):
-            for z, beta in zip(copies, betas):
+        zs = []
+        for m in plan.copies():
+            if (pair, m) not in plan.deltas:
+                raise PlanError(f"plan is missing a delta for {(pair, m)}")
+            zs.append(avar(len(defs)))
+            defs.append(PairAncilla(*pair) if single else PairCopyAncilla(*pair, m))
+            deltas.append(plan.deltas[(pair, m)])
+        for k in sorted(plan.assignments[pair]):
+            alpha = cubic[tuple(sorted(pair + (k,)))]
+            for z, beta in zip(zs, (alpha,) if single else beta_split(alpha)):
                 if beta:
-                    m = monomial([z, xvar(k)])
-                    acc[m] = acc.get(m, 0) + beta
-        for m_index, z in enumerate(copies, start=1):
-            key = (pair, m_index)
-            if key not in plan.deltas:
-                raise PlanError(f"plan is missing a delta for {key}")
-            add_penalty(acc, xvar(i), xvar(j), z, plan.deltas[key])
-    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
+                    products[monomial([z, xvar(k)])] = beta
+    return materialize(poly, defs, products, deltas)
 
 
 def max_introduced_coefficient(plan: ReductionPlan, poly: Polynomial) -> int:

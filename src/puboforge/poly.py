@@ -13,10 +13,10 @@ created them).  Computational variables sort before ancillas, which keeps
 every serialization and iteration order deterministic.
 
 This module also owns the ``.pubo`` text format, exhaustive minimization
-(the oracle primitive the rest of the test suite leans on) and the
-subset-sum kernel that evaluates a polynomial at every point, the control
-precision report (max |coefficient| after dividing out the common gcd), and
-the exact rational conversion to Ising spin form.
+(the oracle primitive the rest of the test suite leans on), the
+subset-sum kernel that evaluates a polynomial at every point, and the
+control precision report (max |coefficient| after dividing out the common
+gcd).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 MAX_DEGREE = 4
@@ -313,7 +312,7 @@ def emit_polynomial(poly: Polynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive minimization, control precision, Ising form
+# Exhaustive minimization, control precision
 # ---------------------------------------------------------------------------
 
 
@@ -405,46 +404,3 @@ def control_precision(poly: Polynomial, include_offset: bool = True) -> Precisio
         g = math.gcd(g, c)
         biggest = max(biggest, abs(c))
     return PrecisionReport(biggest, g, biggest // g, tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class IsingForm:
-    """Degree-2 polynomial rewritten over spins z = 1 - 2x (exact rationals)."""
-
-    offset: Fraction
-    h: Mapping[Var, Fraction]
-    j: Mapping[tuple[Var, Var], Fraction]
-
-    def evaluate(self, spins: Mapping[Var, int]) -> Fraction:
-        total = self.offset
-        for v, coeff in self.h.items():
-            total += coeff * spins[v]
-        for (u, v), coeff in self.j.items():
-            total += coeff * spins[u] * spins[v]
-        return total
-
-
-def to_ising(poly: Polynomial) -> IsingForm:
-    """Exact Ising form of a degree-<=2 polynomial via x = (1 - z) / 2."""
-    if poly.degree() > 2:
-        raise DegreeError(f"Ising conversion needs degree <= 2, got {poly.degree()}")
-    offset = Fraction(0)
-    h: dict[Var, Fraction] = {}
-    j: dict[tuple[Var, Var], Fraction] = {}
-    for m, c in poly:
-        if len(m) == 0:
-            offset += c
-        elif len(m) == 1:
-            offset += Fraction(c, 2)
-            h[m[0]] = h.get(m[0], Fraction(0)) - Fraction(c, 2)
-        else:
-            u, v = m
-            offset += Fraction(c, 4)
-            h[u] = h.get(u, Fraction(0)) - Fraction(c, 4)
-            h[v] = h.get(v, Fraction(0)) - Fraction(c, 4)
-            j[(u, v)] = j.get((u, v), Fraction(0)) + Fraction(c, 4)
-    return IsingForm(
-        offset,
-        {v: c for v, c in sorted(h.items()) if c},
-        {p: c for p, c in sorted(j.items()) if c},
-    )

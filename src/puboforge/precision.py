@@ -32,14 +32,14 @@ import random
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from puboforge.gadgets import GadgetMode, Pair, ReductionPlan, Triple
+from puboforge.gadgets import GadgetMode, Pair, ReductionPlan, Triple, delta_for_group
 from puboforge.poly import Polynomial
 
 
 def _burden(pos: int, neg: int, alpha: int, beta: int) -> int:
     """w for a term alpha joining a group whose positive and negative
     coefficients sum to pos and neg, on a pair with coefficient beta."""
-    delta = 1 + max(pos + max(alpha, 0), -neg - min(alpha, 0))
+    delta = delta_for_group((pos, neg, alpha))
     return max(3 * delta, abs(beta + delta))
 
 

@@ -20,10 +20,32 @@ per candidate ancilla:
 The hard weight is |variables| + 1 so no soft trade-off can pay for a
 hard violation.  `solve_wmaxsat_exact` is a small branch-and-bound over
 the selectors; `apply_quartic_plan` turns a satisfying selection into an
-exact quadratic reduction, with penalty weights sized transitively (a
-term riding on a chained triple ancilla burdens the base pair as well).
-The DIMACS-style ``.wcnf`` emitter lets an external MaxSAT solver do the
-selection instead; `parse_model` reads its answer back.
+exact quadratic reduction through the same `materialize` as the cubic
+path.  The DIMACS-style ``.wcnf`` emitter lets an external MaxSAT solver
+do the selection instead; `parse_model` reads its answer back.
+
+Penalty weights.  An ancilla's group holds the signed coefficients of the
+terms that depend on it: the terms whose product names it and, for a pair,
+the terms chained through a triple built on it.  Its delta is
+`delta_for_group` of the group (1 for an unused ancilla).  Proof that the
+intended ancillas z*(x) are the unique minimizer of g(x, .), with
+g(x, z*) = f(x).  Fix x and any z.
+
+* Call an ancilla *penalized* when it differs from its penalty's
+  reference, x_i*x_j for a pair and z_base*x_k for a triple.  Its penalty
+  is then at least delta, otherwise 0.  If none is penalized, z = z*.
+* A rewritten term alpha*P lowers g below f only if alpha > 0 and P
+  drops 1 -> 0 (from z* to z), or alpha < 0 and P rises 0 -> 1.  Then
+  some ancilla factor moved that way.  A moved pair differs from x_i*x_j,
+  so it is penalized; a moved triple that is not penalized agrees with
+  z_base*x_k, so its base pair moved the same way.  Either way a penalized
+  ancilla whose group holds the term sits below its reference (alpha > 0)
+  or above it (alpha < 0).  Charge |alpha| to that ancilla.
+* A penalized ancilla takes charges of one sign only, from its own
+  group: at most max(sum of positives, -(sum of negatives)) = delta - 1.
+* So g(x, z) - f(x) is at least the number of penalized ancillas, which
+  is positive for every z != z*.  This covers pair*pair products and
+  chains; the cubic gadgets are the case with pair ancillas only.
 """
 
 from __future__ import annotations
@@ -32,15 +54,15 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from puboforge.gadgets import (
-    AncillaRegistry,
     Pair,
     PairAncilla,
     ReducedInstance,
     Triple,
     TripleAncilla,
-    add_penalty,
+    delta_for_group,
+    materialize,
 )
-from puboforge.poly import Monomial, ParseError, Polynomial, PuboError, avar, monomial, xvar
+from puboforge.poly import Monomial, ParseError, Polynomial, PuboError, Var, avar, monomial, xvar
 
 Clause = tuple[int, ...]
 
@@ -289,64 +311,41 @@ def apply_quartic_plan(
     product of two pair ancillas); otherwise they chain through the
     smallest selected triple.  Every selected ancilla is materialized,
     used or not, so the ancilla count always equals the selection size.
-
-    Penalty weights: each ancilla's delta is 1 plus the sum of |alpha|
-    over the terms that depend on it, where a chained term depends on
-    both the triple ancilla and its base pair.
+    Penalty weights follow the group rule in the module docstring.
     """
-    if poly.degree() > 4:
-        raise PuboError("only degree <= 4 polynomials can be reduced")
     selected_pairs, via = decode_ancilla_set(instance, selection)
-    pair_set = set(selected_pairs)
-    chained = sorted(via)
+    ancillas: list[Pair | Triple] = selected_pairs + sorted(via)
+    z = {c: avar(slot) for slot, c in enumerate(ancillas)}
+    group: dict[Pair | Triple, list[int]] = {c: [] for c in ancillas}
+    products: dict[Monomial, int] = {}
 
-    acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
-    pair_load: dict[Pair, int] = {p: 0 for p in selected_pairs}
-    triple_load: dict[Triple, int] = {t: 0 for t in chained}
-
-    registry = AncillaRegistry()
-    pair_var = {p: avar(registry.add(PairAncilla(*p))) for p in selected_pairs}
-    triple_var = {
-        t: avar(registry.add(TripleAncilla(via[t], (set(t) - set(via[t])).pop())))
-        for t in chained
-    }
-
-    def add(m: Monomial, coeff: int) -> None:
-        acc[m] = acc.get(m, 0) + coeff
+    def route(alpha: int, factors: list[Var], dependents: tuple) -> None:
+        products[monomial(factors)] = alpha
+        for c in dependents:
+            group[c].append(alpha)
 
     for term, alpha in sorted(poly.cubic_terms().items()):
-        options = [b for b in combinations(term, 2) if b in pair_set]
+        options = [b for b in combinations(term, 2) if b in z]
         if not options:
             raise PuboError(f"selection cannot reduce cubic term {term}")
         base = min(options)
-        k = (set(term) - set(base)).pop()
-        add(monomial([pair_var[base], xvar(k)]), alpha)
-        pair_load[base] += abs(alpha)
+        route(alpha, [z[base], xvar((set(term) - set(base)).pop())], (base,))
 
     for term, alpha in sorted(poly.quartic_terms().items()):
         i, j, k, l = term
         splits = (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
-        split = next((s for s in splits if s[0] in pair_set and s[1] in pair_set), None)
+        split = next((s for s in splits if s[0] in z and s[1] in z), None)
         if split is not None:
-            add(monomial([pair_var[split[0]], pair_var[split[1]]]), alpha)
-            pair_load[split[0]] += abs(alpha)
-            pair_load[split[1]] += abs(alpha)
+            route(alpha, [z[split[0]], z[split[1]]], split)
             continue
         inner = [t for t in combinations(term, 3) if t in via]
         if not inner:
             raise PuboError(f"selection cannot reduce quartic term {term}")
         t = min(inner)
-        rest = (set(term) - set(t)).pop()
-        add(monomial([triple_var[t], xvar(rest)]), alpha)
-        triple_load[t] += abs(alpha)
-        pair_load[via[t]] += abs(alpha)
+        route(alpha, [z[t], xvar((set(term) - set(t)).pop())], (t, via[t]))
 
-    for p in selected_pairs:
-        add_penalty(acc, xvar(p[0]), xvar(p[1]), pair_var[p], 1 + pair_load[p])
-    for t in chained:
-        extra = (set(t) - set(via[t])).pop()
-        add_penalty(acc, pair_var[via[t]], xvar(extra), triple_var[t], 1 + triple_load[t])
-    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
+    defs = [PairAncilla(*c) if len(c) == 2 else TripleAncilla(via[c], (set(c) - set(via[c])).pop()) for c in ancillas]
+    return materialize(poly, defs, products, [delta_for_group(group[c] or [0]) for c in ancillas])
 
 
 # ---------------------------------------------------------------------------

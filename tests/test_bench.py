@@ -125,10 +125,6 @@ class TestRunConfig:
         monkeypatch.setenv("PUBO_FORGE_THREADS", "2")
         assert run_config(config) == serial
 
-    def test_verification_subsample_disabled(self):
-        config = BenchConfig(n=5, lam=3, instances=2, seed=4, verify_fraction=0.0)
-        assert run_config(config)
-
 
 class TestExperiments:
     def test_ancilla_csv_byte_identical(self):

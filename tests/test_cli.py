@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,17 @@ class TestCompile:
         run(["compile", str(worked), "-o", str(out), "--seed", "7"])
         assert capsys.readouterr().out == first_stdout
         assert out.read_bytes() == first_bytes
+
+    def test_exhausted_solver_budget_exits_zero_unproven(self, tmp_path, capsys):
+        # all 56 cubic terms over 8 variables: 3 nodes cannot prove the optimum
+        src = tmp_path / "full.pubo"
+        terms = "".join(f"1 {i} {j} {k}\n" for i, j, k in combinations(range(1, 9), 3))
+        src.write_text(f"p pubo 8\n{terms}")
+        out = tmp_path / "full.qubo"
+        assert run(["compile", str(src), "-o", str(out), "--ilp-budget", "3", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["proven_optimal"] is False
+        assert obj["ancilla"] == len(parse_qubo(out.read_text()).registry) >= 12
 
     def test_emit_lp_sidecar(self, worked, tmp_path):
         lp = tmp_path / "cover.lp"

@@ -38,7 +38,9 @@ from puboforge.setcover import reduce_min_greedy
 from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
 from util import (
+    chain_selection,
     random_poly,
+    random_quartic,
     reference_apply_plan,
     reference_apply_quartic_plan,
     reference_greedy_precision_plan,
@@ -89,16 +91,6 @@ def test_apply_plan_bytes_match_reference(mode):
         assert emit_qubo(apply_plan(poly, plan)) == emit_qubo(reference_apply_plan(poly, plan))
 
 
-def random_quartic(rng, n):
-    """Random degree-4 instance: 1-3 quartic, 0-4 cubic, 0-6 quadratic terms."""
-    terms = {}
-    for d, count in ((4, rng.randint(1, 3)), (3, rng.randint(0, 4)), (2, rng.randint(0, 6))):
-        subsets = list(combinations(range(1, n + 1), d))
-        for t in rng.sample(subsets, min(count, len(subsets))):
-            terms[monomial([xvar(v) for v in t])] = rng.choice(SMALL)
-    return Polynomial(n, terms)
-
-
 def test_apply_quartic_plan_bytes_match_reference():
     rng = random.Random("equivalence:quartic")
     for i in range(60):
@@ -124,18 +116,6 @@ def test_penalty_search_matches_full_brute_force():
     result = exhaustive_penalty_search(bound)
     assert result.min_max_coeff == best
     assert result.optima == tuple(sorted(c for c in valid if max(map(abs, c)) == best))
-
-
-def chain_selection(rng, poly, instance):
-    """Selectors that push each quartic term through a triple ancilla chain."""
-    chosen = set()
-    for term in poly.quartic_terms():
-        triple = rng.choice(list(combinations(term, 3)))
-        chosen.add(instance.index_of(triple))
-        chosen.add(instance.index_of(rng.choice(list(combinations(triple, 2)))))
-    for term in poly.cubic_terms():
-        chosen.add(instance.index_of(rng.choice(list(combinations(term, 2)))))
-    return frozenset(chosen)
 
 
 def perturbed(rng, reduced, kind):

@@ -18,7 +18,6 @@ from puboforge.gadgets import (
     max_introduced_coefficient,
     parse_qubo,
     penalty_s,
-    reduce_single_term,
     verify_penalty_minimality,
 )
 from puboforge.poly import ParseError, avar, xvar
@@ -119,10 +118,16 @@ class TestDeltaAndSplit:
 # ---------------------------------------------------------------------------
 
 
+def reduce_one_term(alpha):
+    """alpha*x1*x2*x3 reduced on pair (1, 2): a one-term group, delta 1+|alpha|."""
+    p = poly_of(3, {(1, 2, 3): alpha})
+    return apply_plan(p, ReductionPlan.from_assignment(p, {(1, 2): {3}})).quadratic
+
+
 class TestSingleTerm:
     def test_expansion_alpha_two(self):
         z = avar(0)
-        reduced = reduce_single_term(2, (1, 2, 3), (1, 2), z, 3)
+        reduced = reduce_one_term(2)
         expected = {
             (z, xvar(3)): 2,
             (z,): 9,
@@ -137,7 +142,7 @@ class TestSingleTerm:
     @pytest.mark.parametrize("alpha", [-3, -2, -1, 1, 2, 3])
     def test_min_over_ancilla_recovers_cubic(self, alpha):
         z = avar(0)
-        reduced = reduce_single_term(alpha, (1, 2, 3), (1, 2), z, 3)
+        reduced = reduce_one_term(alpha)
         for bits, x in computational_assignments(3):
             best = None
             for zb in (0, 1):

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,6 @@ from puboforge.poly import (
     emit_polynomial,
     monomial,
     parse_polynomial,
-    to_ising,
     xvar,
 )
 
@@ -249,44 +247,3 @@ def test_precision_empty_rejected():
 
 def test_four_bit_documentation_constant():
     assert FOUR_BIT_DEVICE_LEVELS == 16
-
-
-# -- Ising form --------------------------------------------------------------
-
-
-def test_ising_linear_term():
-    ising = to_ising(poly_of(1, {(1,): 1}))
-    assert ising.offset == Fraction(1, 2)
-    assert ising.h == {xvar(1): Fraction(-1, 2)}
-    assert ising.j == {}
-
-
-def test_ising_quadratic_term():
-    # x1*x2 = (1 - z1)(1 - z2)/4, expanded by hand.
-    ising = to_ising(poly_of(2, {(1, 2): 1}))
-    assert ising.offset == Fraction(1, 4)
-    assert ising.h == {xvar(1): Fraction(-1, 4), xvar(2): Fraction(-1, 4)}
-    assert ising.j == {(xvar(1), xvar(2)): Fraction(1, 4)}
-
-
-def test_ising_constant_passthrough():
-    ising = to_ising(poly_of(1, {(): 5}))
-    assert ising.offset == 5
-    assert not ising.h and not ising.j
-
-
-def test_ising_agrees_with_boolean_evaluation():
-    rng = random.Random(23)
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        p = random_poly(rng, n, rng.randint(1, 10), max_degree=2)
-        ising = to_ising(p)
-        for code in range(1 << n):
-            x = {xvar(i): (code >> (i - 1)) & 1 for i in range(1, n + 1)}
-            z = {v: 1 - 2 * b for v, b in x.items()}
-            assert ising.evaluate(z) == p.evaluate(x)
-
-
-def test_ising_rejects_cubic():
-    with pytest.raises(DegreeError):
-        to_ising(poly_of(3, {(1, 2, 3): 1}))

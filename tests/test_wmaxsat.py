@@ -19,7 +19,17 @@ from puboforge.wmaxsat import (
     selection_satisfies,
     solve_wmaxsat_exact,
 )
-from util import pointwise_matches, poly_of, random_poly
+from puboforge.gadgets import PairAncilla, TripleAncilla
+from puboforge.poly import avar, monomial, xvar
+from util import (
+    chain_selection,
+    computational_assignments,
+    pointwise_matches,
+    poly_of,
+    random_poly,
+    random_quartic,
+    strictly_dominant,
+)
 
 SINGLE_QUARTIC = poly_of(4, {(1, 2, 3, 4): 1})
 
@@ -233,6 +243,62 @@ class TestApply:
             "triple(1,2,3) via (1,2)",
         ]
         assert pointwise_matches(SINGLE_QUARTIC, reduced)
+
+    def test_signed_group_deltas_hand_worked(self):
+        # 5 x1x2x3 rides on z0 = pair (1,2); -3 x1x2x4x5 chains through
+        # z1 = triple (1,2,4) via (1,2), so it is in both groups.
+        # Pair group {5, -3}: delta 1 + max(5, 3) = 6 (1 + |5| + |-3| = 9
+        # by the absolute rule).  Triple group {-3}: delta 4.
+        p = poly_of(5, {(1, 2, 3): 5, (1, 2, 4, 5): -3})
+        inst = build_wmaxsat(p)
+        selection = frozenset({inst.index_of((1, 2)), inst.index_of((1, 2, 4))})
+        reduced = apply_quartic_plan(p, inst, selection)
+        assert [d.describe() for d in reduced.registry] == [
+            "pair(1,2)",
+            "triple(1,2,4) via (1,2)",
+        ]
+        x1, x2, x3, x4, x5, z0, z1 = (*(xvar(i) for i in range(1, 6)), avar(0), avar(1))
+        expected = {
+            (z0, x3): 5,
+            (z1, x5): -3,
+            # 6 * (3 z0 + x1 x2 - 2 x1 z0 - 2 x2 z0)
+            (z0,): 18, (x1, x2): 6, (x1, z0): -12, (x2, z0): -12,
+            # 4 * (3 z1 + z0 x4 - 2 z0 z1 - 2 x4 z1)
+            (z1,): 12, (z0, x4): 4, (z0, z1): -8, (x4, z1): -8,
+        }
+        assert dict(reduced.quadratic.terms) == {monomial(m): c for m, c in expected.items()}
+        assert verify_reduction(p, reduced).ok
+        for _, x in computational_assignments(5):
+            assert strictly_dominant(reduced, x)
+
+    def test_intended_ancillas_strictly_dominant(self):
+        # All-on, chained and solver selections; products of two pair
+        # ancillas and chained triples must both occur.
+        rng = random.Random("wmaxsat-dominance")
+        checked = chains = pair_products = 0
+        for i in range(1000):
+            p = random_quartic(rng, rng.randint(4, 7), coeffs=(-8, -3, -1, 1, 2, 5, 8))
+            inst = build_wmaxsat(p)
+            selection = (
+                frozenset(range(1, inst.num_vars + 1)),
+                chain_selection(rng, p, inst),
+                solve_wmaxsat_exact(inst, 2000).selection,
+            )[i % 3]
+            if len(selection) > 11:
+                continue
+            reduced = apply_quartic_plan(p, inst, selection)
+            for _, x in computational_assignments(p.n):
+                assert strictly_dominant(reduced, x), (p, sorted(selection), x)
+            chains += any(isinstance(d, TripleAncilla) for d in reduced.registry)
+            pair_products += any(
+                len(m) == 2 and all(v.is_ancilla and isinstance(reduced.registry.definition(v.index), PairAncilla) for v in m)
+                for m, _ in reduced.quadratic
+            )
+            checked += 1
+            if checked == 200:
+                break
+        assert checked == 200
+        assert chains >= 50 and pair_products >= 50
 
     def test_insufficient_selection_names_cubic_term(self):
         p = poly_of(3, {(1, 2, 3): 1})

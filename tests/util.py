@@ -1,8 +1,8 @@
 """Shared test helpers: instance builders, brute-force oracles, and slow
 reference implementations.
 
-The oracles here use only Polynomial.evaluate plus exhaustive enumeration,
-independent of the reduction code paths under test.
+The oracles here use only term data plus exhaustive enumeration,
+independent of the reduction code paths and of the verifier under test.
 """
 
 from dataclasses import dataclass, field
@@ -76,17 +76,41 @@ def computational_assignments(n):
         yield bits, {xvar(i + 1): bits[i] for i in range(n)}
 
 
+def ancilla_table(reduced, x):
+    """Value of the reduced quadratic at fixed x for every ancilla pattern.
+
+    Entry `code` has ancilla slot s set to bit s of code.  With x fixed,
+    each term becomes a constant, a linear or a pairwise term over the
+    ancilla bits; the table doubles once per slot, adding that slot's
+    linear coefficient and its couplings to the lower slots.
+    """
+    slots = len(reduced.registry)
+    const = 0
+    linear = [0] * slots
+    coupling = {}
+    for m, c in reduced.quadratic:
+        if not all(x[v] for v in m if not v.is_ancilla):
+            continue
+        anc = [v.index for v in m if v.is_ancilla]
+        if not anc:
+            const += c
+        elif len(anc) == 1:
+            linear[anc[0]] += c
+        else:
+            coupling[tuple(anc)] = coupling.get(tuple(anc), 0) + c
+    table = [const]
+    for s in range(slots):
+        row = [linear[s]]  # added when slot s is on, indexed by the lower slots
+        for t in range(s):
+            q = coupling.get((t, s), 0)
+            row += [v + q for v in row]
+        table += [v + r for v, r in zip(table, row)]
+    return table
+
+
 def min_over_ancilla(reduced, x):
     """Minimum of the reduced quadratic over all ancilla bits, x fixed."""
-    slots = len(reduced.registry)
-    best = None
-    for abits in product((0, 1), repeat=slots):
-        full = dict(x)
-        full.update({avar(s): abits[s] for s in range(slots)})
-        value = reduced.quadratic.evaluate(full)
-        if best is None or value < best:
-            best = value
-    return best
+    return min(ancilla_table(reduced, x))
 
 
 def pointwise_matches(original, reduced):
@@ -99,20 +123,31 @@ def pointwise_matches(original, reduced):
 
 def strictly_dominant(reduced, x):
     """At fixed x: intended ancilla bits are the unique minimizer."""
-    intended = reduced.intended_ancilla_bits(x)
-    full = dict(x)
-    full.update(intended)
-    target = reduced.quadratic.evaluate(full)
-    slots = len(reduced.registry)
-    for abits in product((0, 1), repeat=slots):
-        alt = {avar(s): abits[s] for s in range(slots)}
-        if alt == intended:
-            continue
-        full = dict(x)
-        full.update(alt)
-        if reduced.quadratic.evaluate(full) <= target:
-            return False
-    return True
+    table = ancilla_table(reduced, x)
+    code = sum(bit << v.index for v, bit in reduced.intended_ancilla_bits(x).items())
+    return all(value > table[code] for other, value in enumerate(table) if other != code)
+
+
+def random_quartic(rng, n, coeffs=(-2, -1, 1, 2)):
+    """Random degree-4 instance: 1-3 quartic, 0-4 cubic, 0-6 quadratic terms."""
+    terms = {}
+    for d, count in ((4, rng.randint(1, 3)), (3, rng.randint(0, 4)), (2, rng.randint(0, 6))):
+        subsets = list(combinations(range(1, n + 1), d))
+        for t in rng.sample(subsets, min(count, len(subsets))):
+            terms[monomial([xvar(v) for v in t])] = rng.choice(coeffs)
+    return Polynomial(n, terms)
+
+
+def chain_selection(rng, poly, instance):
+    """Selectors that push each quartic term through a triple ancilla chain."""
+    chosen = set()
+    for term in poly.quartic_terms():
+        triple = rng.choice(list(combinations(term, 3)))
+        chosen.add(instance.index_of(triple))
+        chosen.add(instance.index_of(rng.choice(list(combinations(triple, 2)))))
+    for term in poly.cubic_terms():
+        chosen.add(instance.index_of(rng.choice(list(combinations(term, 2)))))
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +271,8 @@ def reference_apply_quartic_plan(
     chained = sorted(via)
 
     acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
-    pair_load: dict[Pair, int] = {p: 0 for p in selected_pairs}
-    triple_load: dict[Triple, int] = {t: 0 for t in chained}
+    pair_load: dict[Pair, list[int]] = {p: [] for p in selected_pairs}
+    triple_load: dict[Triple, list[int]] = {t: [] for t in chained}
 
     registry = AncillaRegistry()
     pair_var = {p: avar(registry.add(PairAncilla(*p))) for p in selected_pairs}
@@ -254,7 +289,7 @@ def reference_apply_quartic_plan(
         base = min(options)
         k = (set(term) - set(base)).pop()
         add(monomial([pair_var[base], xvar(k)]), alpha)
-        pair_load[base] += abs(alpha)
+        pair_load[base].append(alpha)
 
     for term, alpha in sorted(poly.quartic_terms().items()):
         i, j, k, l = term
@@ -262,22 +297,22 @@ def reference_apply_quartic_plan(
         split = next((s for s in splits if s[0] in pair_set and s[1] in pair_set), None)
         if split is not None:
             add(monomial([pair_var[split[0]], pair_var[split[1]]]), alpha)
-            pair_load[split[0]] += abs(alpha)
-            pair_load[split[1]] += abs(alpha)
+            pair_load[split[0]].append(alpha)
+            pair_load[split[1]].append(alpha)
             continue
         inner = [t for t in combinations(term, 3) if t in via]
         t = min(inner)
         rest = (set(term) - set(t)).pop()
         add(monomial([triple_var[t], xvar(rest)]), alpha)
-        triple_load[t] += abs(alpha)
-        pair_load[via[t]] += abs(alpha)
+        triple_load[t].append(alpha)
+        pair_load[via[t]].append(alpha)
 
     penalties = Polynomial.zero(poly.n)
     for p in selected_pairs:
-        delta = 1 + pair_load[p]
+        delta = delta_for_group(pair_load[p] or [0])
         penalties = penalties + delta * penalty_s(xvar(p[0]), xvar(p[1]), pair_var[p], poly.n)
     for t in chained:
-        delta = 1 + triple_load[t]
+        delta = delta_for_group(triple_load[t] or [0])
         extra = (set(t) - set(via[t])).pop()
         penalties = penalties + delta * penalty_s(
             pair_var[via[t]], xvar(extra), triple_var[t], poly.n
