@@ -6,14 +6,17 @@ smallest set of pairs hitting every term: a set cover whose universe is the
 cubic term set and whose candidates are the pairs inside those terms (each
 term is covered by exactly its three own pairs).
 
-The cover is restated as a 0-1 integer program (all-ones objective, 0/1
-constraint matrix with row sums 3, cover each row at least once) and solved
-exactly by a small branch-and-bound: branch on the candidate covering the
-most uncovered rows, force candidates that are a row's last option, and
-prune with two lower bounds (uncovered rows divided by the best remaining
-coverage, and a greedy packing of rows with disjoint candidate sets).  The
-incumbent starts from the same greedy rule the ReduceMin fallback uses, so
-budget exhaustion still returns a valid, usually good, plan.
+The cover has one form from construction to solver, plan and LP text:
+candidate j is an int bitmask whose bit i stands for universe row i, and
+the 0-1 integer program (fewest candidates covering every row) is just
+these masks plus the row count.  A small branch-and-bound solves it
+exactly: branch on the candidate covering the most uncovered rows, force
+candidates that are a row's last option, and prune with two lower bounds
+(uncovered rows divided by the best remaining coverage, and a greedy
+packing of rows with disjoint candidate sets).  `_greedy_cover`, the one
+ReduceMin rule (most uncovered rows, ties to the lowest index, i.e. the
+smallest pair), plans `reduce_min_greedy` and gives the solver its
+incumbent, so budget exhaustion still returns a valid, usually good, plan.
 
 `quarter_squares` and `mantel_construction` give the saturation law: when
 every triple over n variables is present, the optimum cover size is
@@ -27,6 +30,7 @@ the exact solver.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,20 +44,19 @@ class BudgetExhaustedError(PuboError):
 
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """Universe of cubic terms plus candidate pairs and their coverage sets."""
+    """Universe of cubic terms plus candidate pairs and their coverage masks."""
 
     universe: tuple[Triple, ...]
     candidates: tuple[Pair, ...]
-    covers: tuple[frozenset[int], ...]  # per candidate: universe row indices
+    covers: tuple[int, ...]  # per candidate: bit i set when it covers universe[i]
 
 
 @dataclass(frozen=True)
 class IlpInstance:
-    """0-1 ILP: minimize c.v subject to M v >= b, v binary."""
+    """0-1 cover ILP: the fewest column masks covering rows 0..nrows-1."""
 
-    c: tuple[int, ...]
-    m: tuple[tuple[int, ...], ...]
-    b: tuple[int, ...]
+    columns: tuple[int, ...]
+    nrows: int
 
 
 @dataclass(frozen=True)
@@ -64,43 +67,56 @@ class IlpResult:
     nodes: int
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_set_cover(poly: Polynomial) -> SetCoverInstance:
     """Set-cover view of a degree-<=3 polynomial's cubic terms."""
     if poly.degree() > 3:
         raise PuboError("set-cover planning handles degree <= 3; route degree-4 input through the quartic pipeline")
     universe = tuple(sorted(poly.cubic_terms()))
-    pairs = sorted({p for t in universe for p in combinations(t, 2)})
-    covers = tuple(
-        frozenset(i for i, t in enumerate(universe) if set(p) <= set(t)) for p in pairs
-    )
-    return SetCoverInstance(universe, tuple(pairs), covers)
+    masks: dict[Pair, int] = {}
+    for i, t in enumerate(universe):
+        for p in combinations(t, 2):
+            masks[p] = masks.get(p, 0) | 1 << i
+    pairs = tuple(sorted(masks))
+    return SetCoverInstance(universe, pairs, tuple(masks[p] for p in pairs))
 
 
 def set_cover_to_ilp(sc: SetCoverInstance) -> IlpInstance:
-    """Explicit 0-1 ILP form of a cover instance."""
-    nrows, ncols = len(sc.universe), len(sc.candidates)
-    m = tuple(
-        tuple(1 if i in sc.covers[j] else 0 for j in range(ncols)) for i in range(nrows)
-    )
-    return IlpInstance((1,) * ncols, m, (1,) * nrows)
+    """0-1 ILP form of a cover instance."""
+    return IlpInstance(sc.covers, len(sc.universe))
 
 
-def _greedy_selection(cover_masks: list[int], full: int) -> list[int]:
-    """Greedy cover: repeatedly take the candidate covering most uncovered rows
-    (ties to the lowest index).  This is the cover-level ReduceMin rule."""
-    uncovered = full
-    chosen: list[int] = []
+def _greedy_cover(columns: Sequence[int], nrows: int) -> list[tuple[int, int]]:
+    """ReduceMin over column masks: (column, rows it claims) in pick order.
+
+    Gains only fall as rows are covered, so the heap holds stale upper
+    bounds: a popped column whose recomputed gain is unchanged beats every
+    other, and one whose gain fell is pushed back (Minoux's lazy greedy;
+    the picks and the lowest-index tie-break equal a full rescan's).
+    """
+    uncovered = (1 << nrows) - 1
+    heap = [(-mask.bit_count(), j) for j, mask in enumerate(columns) if mask]
+    heapq.heapify(heap)
+    picks: list[tuple[int, int]] = []
     while uncovered:
-        best_j, best_gain = -1, 0
-        for j, mask in enumerate(cover_masks):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_j, best_gain = j, gain
-        if best_j < 0:
+        if not heap:
             raise PuboError("cover instance has an uncoverable row")
-        chosen.append(best_j)
-        uncovered &= ~cover_masks[best_j]
-    return chosen
+        neg_gain, j = heapq.heappop(heap)
+        claimed = columns[j] & uncovered
+        gain = claimed.bit_count()
+        if gain == -neg_gain:
+            picks.append((j, claimed))
+            uncovered ^= claimed
+        elif gain:
+            heapq.heappush(heap, (-gain, j))
+    return picks
 
 
 def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
@@ -110,52 +126,42 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
     Exhausting ``node_budget`` returns the best incumbent with
     ``proven_optimal=False``; the incumbent is never worse than greedy.
     """
-    nrows, ncols = len(ilp.b), len(ilp.c)
-    cover_masks = [0] * ncols
+    nrows, cover_masks = ilp.nrows, ilp.columns
+    ncols = len(cover_masks)
     row_cands = [0] * nrows
-    for i, row in enumerate(ilp.m):
-        for j, cell in enumerate(row):
-            if cell:
-                cover_masks[j] |= 1 << i
-                row_cands[i] |= 1 << j
-    full = (1 << nrows) - 1
+    for j, mask in enumerate(cover_masks):
+        for i in _bits(mask):
+            row_cands[i] |= 1 << j
 
-    greedy = _greedy_selection(cover_masks, full)
-    best_mask = 0
-    for j in greedy:
-        best_mask |= 1 << j
-    best_cost = len(greedy)
+    greedy = _greedy_cover(cover_masks, nrows)
+    best_mask, best_cost = sum(1 << j for j, _ in greedy), len(greedy)
+    nodes, exhausted = 0, False
 
-    nodes = 0
-    exhausted = False
-
-    def lower_bound(uncovered: int, banned: int) -> int:
+    def bound_and_branch(uncovered: int, banned: int) -> tuple[int, int, int]:
+        """A lower bound on the candidates still needed, the one candidate
+        left to the first uncovered row that has only one (else -1), and the
+        candidate covering the most uncovered rows (ties to the lowest index)."""
         # Bound 1: the best remaining candidate covers cmax rows at a time.
-        cmax = 0
+        best_j, cmax = -1, 0
         for j in range(ncols):
             if not banned >> j & 1:
                 gain = (cover_masks[j] & uncovered).bit_count()
                 if gain > cmax:
-                    cmax = gain
-        if cmax == 0:
-            return nrows + 1  # some row is uncoverable: prune
-        u = uncovered.bit_count()
-        bound = -(-u // cmax)
+                    best_j, cmax = j, gain
         # Bound 2: rows whose candidate sets are pairwise disjoint each need
         # their own candidate.
-        taken = 0
-        packing = 0
-        rest = uncovered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        taken = packing = 0
+        forced = -1
+        for i in _bits(uncovered):
             cands = row_cands[i] & ~banned
             if cands == 0:
-                return nrows + 1
+                return nrows + 1, -1, -1  # an uncoverable row: prune
+            if forced < 0 and cands & (cands - 1) == 0:
+                forced = cands.bit_length() - 1
             if cands & taken == 0:
                 taken |= cands
                 packing += 1
-        return max(bound, packing)
+        return max(-(-uncovered.bit_count() // cmax), packing), forced, best_j
 
     def dfs(uncovered: int, banned: int, chosen_mask: int, nchosen: int) -> None:
         nonlocal best_mask, best_cost, nodes, exhausted
@@ -170,36 +176,20 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
                 if nchosen < best_cost:
                     best_cost, best_mask = nchosen, chosen_mask
                 return
-            if nchosen + lower_bound(uncovered, banned) >= best_cost:
+            bound, forced, best_j = bound_and_branch(uncovered, banned)
+            if nchosen + bound >= best_cost:
                 return
-            # Force any candidate that is the last option for some row.
-            forced = -1
-            rest = uncovered
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                cands = row_cands[i] & ~banned
-                if cands and cands & (cands - 1) == 0:
-                    forced = cands.bit_length() - 1
-                    break
             if forced < 0:
                 break
+            # Force the candidate that is the last option for some row.
             chosen_mask |= 1 << forced
             nchosen += 1
             uncovered &= ~cover_masks[forced]
         # Branch on the candidate covering the most uncovered rows.
-        best_j, best_gain = -1, 0
-        for j in range(ncols):
-            if not banned >> j & 1:
-                gain = (cover_masks[j] & uncovered).bit_count()
-                if gain > best_gain:
-                    best_j, best_gain = j, gain
-        if best_j < 0:
-            return
         dfs(uncovered & ~cover_masks[best_j], banned, chosen_mask | (1 << best_j), nchosen + 1)
         dfs(uncovered, banned | (1 << best_j), chosen_mask, nchosen)
 
-    dfs(full, 0, 0, 0)
+    dfs((1 << nrows) - 1, 0, 0, 0)
     selection = tuple((best_mask >> j) & 1 for j in range(ncols))
     return IlpResult(selection, best_cost, not exhausted, nodes)
 
@@ -212,17 +202,27 @@ def plan_from_cover(
 ) -> ReductionPlan:
     """Turn a candidate selection into a reduction plan.
 
-    Each term goes to the lexicographically smallest selected pair covering it.
+    Each term goes to the lowest-index, so lexicographically smallest,
+    selected pair covering it.
     """
-    selected = [j for j, v in enumerate(selection) if v]
-    assignments: dict[Pair, set[int]] = {}
-    for i, t in enumerate(sc.universe):
-        owners = [sc.candidates[j] for j in selected if i in sc.covers[j]]
-        if not owners:
-            raise PlanError(f"selection does not cover cubic term {t}")
-        pair = min(owners)
-        third = (set(t) - set(pair)).pop()
-        assignments.setdefault(pair, set()).add(third)
+    picks, unowned = [], (1 << len(sc.universe)) - 1
+    for j, v in enumerate(selection):
+        if v:
+            picks.append((j, sc.covers[j] & unowned))
+            unowned &= ~sc.covers[j]
+    if unowned:
+        raise PlanError(f"selection does not cover cubic term {sc.universe[next(_bits(unowned))]}")
+    return _plan(sc, picks, poly, mode)
+
+
+def _plan(
+    sc: SetCoverInstance, picks: list[tuple[int, int]], poly: Polynomial, mode: GadgetMode
+) -> ReductionPlan:
+    """The plan giving each (column, rows) pick's rows to the column's pair."""
+    assignments = {}
+    for j, rows in picks:
+        pair = sc.candidates[j]
+        assignments[pair] = {(set(sc.universe[i]) - set(pair)).pop() for i in _bits(rows)}
     return ReductionPlan.from_assignment(poly, assignments, mode)
 
 
@@ -232,28 +232,8 @@ def reduce_min_greedy(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) ->
     Picks the pair contained in the most remaining cubic terms (ties to the
     lexicographically smallest pair), assigns those terms to it, and repeats.
     """
-    remaining = set(poly.cubic_terms())
-    terms_of: dict[Pair, list[Triple]] = {}
-    for t in remaining:
-        for p in combinations(t, 2):
-            terms_of.setdefault(p, []).append(t)
-    counts = {p: len(ts) for p, ts in terms_of.items()}
-    heap = [(-c, p) for p, c in counts.items()]  # stale entries are skipped
-    heapq.heapify(heap)
-    assignments: dict[Pair, set[int]] = {}
-    while remaining:
-        neg_count, best_pair = heapq.heappop(heap)
-        if counts[best_pair] != -neg_count:
-            continue
-        claimed = [t for t in terms_of[best_pair] if t in remaining]
-        assignments[best_pair] = {(set(t) - set(best_pair)).pop() for t in claimed}
-        remaining.difference_update(claimed)
-        for t in claimed:
-            for p in combinations(t, 2):
-                counts[p] -= 1
-                if counts[p]:
-                    heapq.heappush(heap, (-counts[p], p))
-    return ReductionPlan.from_assignment(poly, assignments, mode)
+    sc = build_set_cover(poly)
+    return _plan(sc, _greedy_cover(sc.covers, len(sc.universe)), poly, mode)
 
 
 def quarter_squares(n: int) -> int:
@@ -304,7 +284,7 @@ def emit_lp(sc: SetCoverInstance) -> str:
         lines.append(f"/* v{j} = pair {p[0]} {p[1]} */")
     lines.append("min: " + " ".join(f"+v{j}" for j in range(1, ncols + 1)) + ";")
     for i in range(len(sc.universe)):
-        members = [j + 1 for j in range(ncols) if i in sc.covers[j]]
-        lines.append(f"cover_{i + 1}: " + " ".join(f"+v{j}" for j in members) + " >= 1;")
+        members = " ".join(f"+v{j}" for j, mask in enumerate(sc.covers, start=1) if mask >> i & 1)
+        lines.append(f"cover_{i + 1}: {members} >= 1;")
     lines.append("binary " + ",".join(f"v{j}" for j in range(1, ncols + 1)) + ";")
     return "\n".join(lines) + "\n"

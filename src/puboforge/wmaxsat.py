@@ -73,18 +73,26 @@ class WmaxsatInstance:
 
     Variables are numbered from 1: pairs first in lexicographic order,
     then triples.  Clauses are literal tuples; a negative literal negates
-    the variable with that index.
+    the variable with that index.  The soft clauses (one `(-v,)` per
+    selector, weight 1) and the hard weight `top` follow from the
+    selectors, so they are derived rather than stored.
     """
 
     pairs: tuple[Pair, ...]
     triples: tuple[Triple, ...]
-    soft: tuple[Clause, ...]
     hard: tuple[Clause, ...]
-    top: int
 
     @property
     def num_vars(self) -> int:
         return len(self.pairs) + len(self.triples)
+
+    @property
+    def soft(self) -> tuple[Clause, ...]:
+        return tuple((-v,) for v in range(1, self.num_vars + 1))
+
+    @property
+    def top(self) -> int:
+        return self.num_vars + 1
 
     def index_of(self, candidate: Pair | Triple) -> int:
         if len(candidate) == 2:
@@ -114,7 +122,6 @@ def build_wmaxsat(poly: Polynomial) -> WmaxsatInstance:
     index: dict[tuple[int, ...], int] = {p: i + 1 for i, p in enumerate(pairs)}
     index.update({t: len(pairs) + 1 + i for i, t in enumerate(triples)})
 
-    soft = tuple((-v,) for v in range(1, len(pairs) + len(triples) + 1))
     hard: list[Clause] = []
     for t in triples:
         hard.append((-index[t],) + tuple(index[b] for b in combinations(t, 2)))
@@ -130,8 +137,7 @@ def build_wmaxsat(poly: Polynomial) -> WmaxsatInstance:
         inner = tuple(index[t] for t in combinations(term, 3))
         for choice in product(*splits):
             hard.append(tuple(index[b] for b in choice) + inner)
-    top = len(pairs) + len(triples) + 1
-    return WmaxsatInstance(pairs, triples, soft, tuple(hard), top)
+    return WmaxsatInstance(pairs, triples, tuple(hard))
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +374,17 @@ def emit_wcnf(instance: WmaxsatInstance) -> str:
 
 
 def parse_wcnf(text: str) -> WmaxsatInstance:
-    """Parse wcnf text produced by `emit_wcnf` (selector comments required)."""
+    """Parse wcnf text produced by `emit_wcnf` (selector comments required).
+
+    The soft clauses and the top weight must be the derived ones: one
+    `1 -v 0` per selector (in any order) and top = selectors + 1.
+    """
     top: int | None = None
     declared_vars = declared_clauses = 0
     pairs: list[Pair] = []
     triples: list[Triple] = []
     hard: list[Clause] = []
-    soft: list[Clause] = []
+    soft: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -389,6 +399,8 @@ def parse_wcnf(text: str) -> WmaxsatInstance:
                 declared_vars, declared_clauses, top = (int(f) for f in fields[2:])
             except ValueError:
                 raise ParseError("header fields must be integers", lineno) from None
+            if top != declared_vars + 1:
+                raise ParseError(f"top weight must be selectors + 1 = {declared_vars + 1}", lineno)
             continue
         if fields[0] == "c":
             if len(fields) >= 5 and fields[1] == "var" and fields[3] == "=":
@@ -424,7 +436,9 @@ def parse_wcnf(text: str) -> WmaxsatInstance:
         if weight == top:
             hard.append(lits)
         elif weight == 1:
-            soft.append(lits)
+            if len(lits) != 1 or lits[0] > 0 or -lits[0] in soft:
+                raise ParseError("soft clauses are '1 -v 0', once per selector v", lineno)
+            soft.add(-lits[0])
         else:
             raise ParseError(f"unsupported clause weight {weight}", lineno)
     if top is None:
@@ -439,7 +453,9 @@ def parse_wcnf(text: str) -> WmaxsatInstance:
         raise ParseError(
             f"header declares {declared_clauses} clauses but found {len(hard) + len(soft)}", 1
         )
-    return WmaxsatInstance(tuple(pairs), tuple(triples), tuple(soft), tuple(hard), top)
+    if len(soft) != declared_vars:
+        raise ParseError(f"{declared_vars} selectors but {len(soft)} soft clauses", 1)
+    return WmaxsatInstance(tuple(pairs), tuple(triples), tuple(hard))
 
 
 def parse_model(text: str) -> frozenset[int]:

@@ -1,5 +1,5 @@
-"""The incremental planners, one-pass materializers and the
-coefficient-comparing oracle against slow references.
+"""The incremental planners, the bitmask cover, one-pass materializers and
+the coefficient-comparing oracle against slow references.
 
 The references in util.py rescore or recount every remaining term each
 round, build each penalty as its own polynomial, and verify by evaluating
@@ -34,7 +34,14 @@ from puboforge.poly import (
     xvar,
 )
 from puboforge.precision import greedy_precision_plan
-from puboforge.setcover import reduce_min_greedy
+from puboforge.setcover import (
+    build_set_cover,
+    emit_lp,
+    plan_from_cover,
+    reduce_min_greedy,
+    set_cover_to_ilp,
+    solve_ilp_exact,
+)
 from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
 from util import (
@@ -43,8 +50,13 @@ from util import (
     random_quartic,
     reference_apply_plan,
     reference_apply_quartic_plan,
+    reference_build_set_cover,
+    reference_emit_lp,
     reference_greedy_precision_plan,
+    reference_plan_from_cover,
     reference_reduce_min_greedy,
+    reference_set_cover_to_ilp,
+    reference_solve_ilp_exact,
     reference_verify_reduction,
 )
 
@@ -82,6 +94,37 @@ def test_greedy_precision_plan_matches_reference():
 def test_reduce_min_greedy_matches_reference(mode):
     for poly in INSTANCES:
         assert reduce_min_greedy(poly, mode) == reference_reduce_min_greedy(poly, mode)
+
+
+def cover_instances():
+    """Seeded cubic instances, n = 4..13 and at most 60 terms."""
+    rng = random.Random("equivalence:cover")
+    for i in range(300):
+        n = 4 + i % 10
+        triples = list(combinations(range(1, n + 1), 3))
+        lam = rng.randint(1, min(len(triples), 60))
+        terms = {monomial([xvar(v) for v in t]): rng.choice(SMALL) for t in rng.sample(triples, lam)}
+        yield Polynomial(n, terms)
+
+
+def test_bitmask_cover_matches_reference():
+    for i, poly in enumerate(cover_instances()):
+        sc, ref = build_set_cover(poly), reference_build_set_cover(poly)
+        assert (sc.universe, sc.candidates) == (ref.universe, ref.candidates)
+        assert [{r for r in range(len(sc.universe)) if mask >> r & 1} for mask in sc.covers] == list(ref.covers)
+        assert emit_lp(sc) == reference_emit_lp(ref)
+        mode = list(GadgetMode)[i % 2]
+        everything = (1,) * len(sc.candidates)  # each term's three pairs compete for it
+        assert plan_from_cover(sc, everything, poly, mode) == reference_plan_from_cover(ref, everything, poly, mode)
+        ilp, ref_ilp = set_cover_to_ilp(sc), reference_set_cover_to_ilp(ref)
+        # Budgets 1, 3 and 50 stop most solves early, so unproven
+        # incumbents and the greedy start are compared too.
+        for budget in (1, 3, 50, 10**6):
+            result = solve_ilp_exact(ilp, budget)
+            expected = reference_solve_ilp_exact(ref_ilp, budget)
+            assert result == expected
+            plan = plan_from_cover(sc, result.selection, poly, mode)
+            assert plan == reference_plan_from_cover(ref, expected.selection, poly, mode)
 
 
 @pytest.mark.parametrize("mode", list(GadgetMode))

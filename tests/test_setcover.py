@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from puboforge.gadgets import GadgetMode, apply_plan
-from puboforge.poly import parse_polynomial
+from puboforge.gadgets import GadgetMode, PlanError, apply_plan
+from puboforge.poly import PuboError, parse_polynomial
 from puboforge.setcover import (
+    IlpInstance,
     build_set_cover,
     emit_lp,
     mantel_construction,
@@ -29,15 +30,14 @@ WORKED = parse_polynomial(
 
 
 def brute_force_cover_minimum(sc):
-    """Smallest number of candidates covering every row, by subset enumeration."""
-    ncols = len(sc.candidates)
-    nrows = len(sc.universe)
-    for size in range(0, ncols + 1):
-        for subset in combinations(range(ncols), size):
-            covered = set()
-            for j in subset:
-                covered |= sc.covers[j]
-            if len(covered) == nrows:
+    """Smallest number of candidates covering every row, by subset enumeration.
+
+    Coverage comes from subset tests on the terms and pairs themselves, not
+    from the instance's coverage masks.
+    """
+    for size in range(0, len(sc.candidates) + 1):
+        for subset in combinations(sc.candidates, size):
+            if all(any(set(p) <= set(t) for p in subset) for t in sc.universe):
                 return size
     raise AssertionError("no cover found")
 
@@ -54,8 +54,10 @@ class TestCoverConstruction:
     def test_each_term_covered_by_its_three_pairs(self):
         sc = build_set_cover(WORKED)
         ilp = set_cover_to_ilp(sc)
-        for row in ilp.m:
-            assert sum(row) == 3
+        assert (ilp.columns, ilp.nrows) == (sc.covers, 3)
+        for i, t in enumerate(sc.universe):
+            owners = [p for p, mask in zip(sc.candidates, sc.covers) if mask >> i & 1]
+            assert owners == list(combinations(t, 2))
 
     def test_degree_four_rejected(self):
         with pytest.raises(Exception):
@@ -112,12 +114,22 @@ class TestExactIlp:
         sc = build_set_cover(p)
         result = solve_ilp_exact(set_cover_to_ilp(sc), node_budget=3)
         assert not result.proven_optimal
-        covered = set()
-        for j, v in enumerate(result.selection):
+        covered = 0
+        for mask, v in zip(sc.covers, result.selection):
             if v:
-                covered |= sc.covers[j]
-        assert len(covered) == len(sc.universe)
+                covered |= mask
+        assert covered == (1 << len(sc.universe)) - 1
         assert result.cost >= quarter_squares(8)
+
+    def test_uncoverable_row_rejected(self):
+        with pytest.raises(PuboError, match="uncoverable row"):
+            solve_ilp_exact(IlpInstance((0b01, 0b01), 2))
+
+    def test_incomplete_selection_names_first_uncovered_term(self):
+        sc = build_set_cover(WORKED)
+        selection = tuple(1 if p == (4, 5) else 0 for p in sc.candidates)
+        with pytest.raises(PlanError, match=r"cubic term \(1, 2, 3\)"):
+            plan_from_cover(sc, selection, WORKED)
 
     def test_determinism(self):
         sc = build_set_cover(WORKED)

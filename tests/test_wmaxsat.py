@@ -32,6 +32,7 @@ from util import (
 )
 
 SINGLE_QUARTIC = poly_of(4, {(1, 2, 3, 4): 1})
+SINGLE_QUARTIC_INSTANCE = build_wmaxsat(SINGLE_QUARTIC)
 
 
 def sufficient(poly, pairs, triples):
@@ -350,6 +351,34 @@ class TestWcnfFormat:
         back = parse_wcnf(text)
         assert back == inst
         assert emit_wcnf(back) == text
+
+    def test_soft_clauses_must_be_the_derived_ones(self):
+        text = emit_wcnf(SINGLE_QUARTIC_INSTANCE)
+        lines = text.splitlines()
+        first_soft = next(i for i, line in enumerate(lines, start=1) if line.startswith("1 -"))
+        flipped = "\n".join(line.replace("1 -", "1 ", 1) if line.startswith("1 -") else line for line in lines)
+        with pytest.raises(ParseError) as err:
+            parse_wcnf(flipped)
+        assert err.value.line == first_soft
+        doubled = text.replace("1 -2 0\n", "1 -1 0\n")
+        with pytest.raises(ParseError) as err:
+            parse_wcnf(doubled)
+        assert err.value.line == first_soft + 1
+        missing = text.replace("1 -10 0\n", "").replace("p wcnf 10 22 11", "p wcnf 10 21 11")
+        with pytest.raises(ParseError, match="10 selectors but 9 soft clauses"):
+            parse_wcnf(missing)
+
+    def test_top_must_be_selectors_plus_one(self):
+        text = emit_wcnf(SINGLE_QUARTIC_INSTANCE)
+        with pytest.raises(ParseError) as err:
+            parse_wcnf(text.replace("p wcnf 10 22 11", "p wcnf 10 22 99").replace("\n11 ", "\n99 "))
+        assert err.value.line == 1
+
+    def test_soft_clauses_in_any_order(self):
+        lines = emit_wcnf(SINGLE_QUARTIC_INSTANCE).splitlines()
+        hard = [line for line in lines if not line.startswith("1 -")]
+        soft = [line for line in lines if line.startswith("1 -")]
+        assert parse_wcnf("\n".join(hard + soft[::-1]) + "\n") == SINGLE_QUARTIC_INSTANCE
 
     def test_missing_header(self):
         with pytest.raises(ParseError):

@@ -14,6 +14,7 @@ from puboforge.gadgets import (
     Pair,
     PairAncilla,
     PairCopyAncilla,
+    PlanError,
     ReducedInstance,
     ReductionPlan,
     Triple,
@@ -27,12 +28,14 @@ from puboforge.poly import (
     CapExceededError,
     Monomial,
     Polynomial,
+    PuboError,
     Var,
     avar,
     control_precision,
     monomial,
     xvar,
 )
+from puboforge.setcover import IlpResult
 from puboforge.verify import VerificationReport
 from puboforge.wmaxsat import WmaxsatInstance, decode_ancilla_set
 
@@ -165,18 +168,20 @@ class GreedyState:
     poly: Polynomial
     remaining: set[Triple]
     assignments: dict[Pair, set[int]] = field(default_factory=dict)
+    cubic: dict[Triple, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cubic = self.poly.cubic_terms()
 
     def group_coefficients(self, b: Pair) -> list[int]:
-        cubic = self.poly.cubic_terms()
         return [
-            cubic[tuple(sorted(b + (k,)))] for k in sorted(self.assignments.get(b, ()))
+            self.cubic[tuple(sorted(b + (k,)))] for k in sorted(self.assignments.get(b, ()))
         ]
 
 
 def reference_cost_w(state: GreedyState, a: Triple, b: Pair) -> int:
     """Largest coefficient created around b's ancilla if term a joins it."""
-    cubic = state.poly.cubic_terms()
-    theta = state.group_coefficients(b) + [cubic[a]]
+    theta = state.group_coefficients(b) + [state.cubic[a]]
     delta = delta_for_group(theta)
     return max(3 * delta, abs(state.poly.pair_coefficient(*b) + delta))
 
@@ -470,3 +475,205 @@ def reference_verify_reduction(
         control_precision(reduced.quadratic) if reduced.quadratic else None,
         reduced.ancilla_count(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Slow reference cover planner: the cover as frozensets, a dense 0-1 ILP
+# matrix turned back into bitmasks by the solver, and a greedy incumbent
+# that rescans every candidate each round.  The bitmask cover must give
+# equal covers, solver results, plans and LP text.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceSetCoverInstance:
+    """Universe of cubic terms plus candidate pairs and their coverage sets."""
+
+    universe: tuple[Triple, ...]
+    candidates: tuple[Pair, ...]
+    covers: tuple[frozenset[int], ...]  # per candidate: universe row indices
+
+
+@dataclass(frozen=True)
+class ReferenceIlpInstance:
+    """0-1 ILP: minimize c.v subject to M v >= b, v binary."""
+
+    c: tuple[int, ...]
+    m: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+
+
+def reference_build_set_cover(poly: Polynomial) -> ReferenceSetCoverInstance:
+    """Set-cover view of a degree-<=3 polynomial's cubic terms."""
+    if poly.degree() > 3:
+        raise PuboError("set-cover planning handles degree <= 3; route degree-4 input through the quartic pipeline")
+    universe = tuple(sorted(poly.cubic_terms()))
+    pairs = sorted({p for t in universe for p in combinations(t, 2)})
+    covers = tuple(
+        frozenset(i for i, t in enumerate(universe) if set(p) <= set(t)) for p in pairs
+    )
+    return ReferenceSetCoverInstance(universe, tuple(pairs), covers)
+
+
+def reference_set_cover_to_ilp(sc: ReferenceSetCoverInstance) -> ReferenceIlpInstance:
+    """Explicit 0-1 ILP form of a cover instance."""
+    nrows, ncols = len(sc.universe), len(sc.candidates)
+    m = tuple(
+        tuple(1 if i in sc.covers[j] else 0 for j in range(ncols)) for i in range(nrows)
+    )
+    return ReferenceIlpInstance((1,) * ncols, m, (1,) * nrows)
+
+
+def reference_greedy_selection(cover_masks: list[int], full: int) -> list[int]:
+    """Greedy cover: repeatedly take the candidate covering most uncovered rows
+    (ties to the lowest index).  This is the cover-level ReduceMin rule."""
+    uncovered = full
+    chosen: list[int] = []
+    while uncovered:
+        best_j, best_gain = -1, 0
+        for j, mask in enumerate(cover_masks):
+            gain = (mask & uncovered).bit_count()
+            if gain > best_gain:
+                best_j, best_gain = j, gain
+        if best_j < 0:
+            raise PuboError("cover instance has an uncoverable row")
+        chosen.append(best_j)
+        uncovered &= ~cover_masks[best_j]
+    return chosen
+
+
+def reference_solve_ilp_exact(ilp: ReferenceIlpInstance, node_budget: int = 10**6) -> IlpResult:
+    """Exact branch-and-bound for the cover ILP.
+
+    Deterministic: branching, tie-breaking, and propagation orders are fixed.
+    Exhausting ``node_budget`` returns the best incumbent with
+    ``proven_optimal=False``; the incumbent is never worse than greedy.
+    """
+    nrows, ncols = len(ilp.b), len(ilp.c)
+    cover_masks = [0] * ncols
+    row_cands = [0] * nrows
+    for i, row in enumerate(ilp.m):
+        for j, cell in enumerate(row):
+            if cell:
+                cover_masks[j] |= 1 << i
+                row_cands[i] |= 1 << j
+    full = (1 << nrows) - 1
+
+    greedy = reference_greedy_selection(cover_masks, full)
+    best_mask = 0
+    for j in greedy:
+        best_mask |= 1 << j
+    best_cost = len(greedy)
+
+    nodes = 0
+    exhausted = False
+
+    def lower_bound(uncovered: int, banned: int) -> int:
+        # Bound 1: the best remaining candidate covers cmax rows at a time.
+        cmax = 0
+        for j in range(ncols):
+            if not banned >> j & 1:
+                gain = (cover_masks[j] & uncovered).bit_count()
+                if gain > cmax:
+                    cmax = gain
+        if cmax == 0:
+            return nrows + 1  # some row is uncoverable: prune
+        u = uncovered.bit_count()
+        bound = -(-u // cmax)
+        # Bound 2: rows whose candidate sets are pairwise disjoint each need
+        # their own candidate.
+        taken = 0
+        packing = 0
+        rest = uncovered
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cands = row_cands[i] & ~banned
+            if cands == 0:
+                return nrows + 1
+            if cands & taken == 0:
+                taken |= cands
+                packing += 1
+        return max(bound, packing)
+
+    def dfs(uncovered: int, banned: int, chosen_mask: int, nchosen: int) -> None:
+        nonlocal best_mask, best_cost, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        while True:
+            if uncovered == 0:
+                if nchosen < best_cost:
+                    best_cost, best_mask = nchosen, chosen_mask
+                return
+            if nchosen + lower_bound(uncovered, banned) >= best_cost:
+                return
+            # Force any candidate that is the last option for some row.
+            forced = -1
+            rest = uncovered
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                cands = row_cands[i] & ~banned
+                if cands and cands & (cands - 1) == 0:
+                    forced = cands.bit_length() - 1
+                    break
+            if forced < 0:
+                break
+            chosen_mask |= 1 << forced
+            nchosen += 1
+            uncovered &= ~cover_masks[forced]
+        # Branch on the candidate covering the most uncovered rows.
+        best_j, best_gain = -1, 0
+        for j in range(ncols):
+            if not banned >> j & 1:
+                gain = (cover_masks[j] & uncovered).bit_count()
+                if gain > best_gain:
+                    best_j, best_gain = j, gain
+        if best_j < 0:
+            return
+        dfs(uncovered & ~cover_masks[best_j], banned, chosen_mask | (1 << best_j), nchosen + 1)
+        dfs(uncovered, banned | (1 << best_j), chosen_mask, nchosen)
+
+    dfs(full, 0, 0, 0)
+    selection = tuple((best_mask >> j) & 1 for j in range(ncols))
+    return IlpResult(selection, best_cost, not exhausted, nodes)
+
+
+def reference_plan_from_cover(
+    sc: ReferenceSetCoverInstance,
+    selection: tuple[int, ...],
+    poly: Polynomial,
+    mode: GadgetMode = GadgetMode.SINGLE,
+) -> ReductionPlan:
+    """Turn a candidate selection into a reduction plan.
+
+    Each term goes to the lexicographically smallest selected pair covering it.
+    """
+    selected = [j for j, v in enumerate(selection) if v]
+    assignments: dict[Pair, set[int]] = {}
+    for i, t in enumerate(sc.universe):
+        owners = [sc.candidates[j] for j in selected if i in sc.covers[j]]
+        if not owners:
+            raise PlanError(f"selection does not cover cubic term {t}")
+        pair = min(owners)
+        third = (set(t) - set(pair)).pop()
+        assignments.setdefault(pair, set()).add(third)
+    return ReductionPlan.from_assignment(poly, assignments, mode)
+
+
+def reference_emit_lp(sc: ReferenceSetCoverInstance) -> str:
+    """LP-format text of the cover ILP for inspection with external solvers."""
+    ncols = len(sc.candidates)
+    lines = [f"/* minimum-ancilla set cover: {len(sc.universe)} terms, {ncols} candidate pairs */"]
+    for j, p in enumerate(sc.candidates, start=1):
+        lines.append(f"/* v{j} = pair {p[0]} {p[1]} */")
+    lines.append("min: " + " ".join(f"+v{j}" for j in range(1, ncols + 1)) + ";")
+    for i in range(len(sc.universe)):
+        members = [j + 1 for j in range(ncols) if i in sc.covers[j]]
+        lines.append(f"cover_{i + 1}: " + " ".join(f"+v{j}" for j in members) + " >= 1;")
+    lines.append("binary " + ",".join(f"v{j}" for j in range(1, ncols + 1)) + ";")
+    return "\n".join(lines) + "\n"
