@@ -105,15 +105,16 @@ def _precision(poly: Polynomial, include_offset: bool) -> int:
 
 
 def _cubic_pipeline(poly: Polynomial, args: argparse.Namespace):
+    """(reduced instance, proven optimal, solver nodes or None)."""
     mode = GadgetMode(args.gadget)
     if args.strategy == "min-ancilla":
         sc = build_set_cover(poly)
         result = solve_ilp_exact(set_cover_to_ilp(sc), args.ilp_budget)
         plan = plan_from_cover(sc, result.selection, poly, mode)
-        return apply_plan(poly, plan), result.proven_optimal
+        return apply_plan(poly, plan), result.proven_optimal, result.nodes
     if args.strategy == "reduce-min":
-        return apply_plan(poly, reduce_min_greedy(poly, mode)), False
-    return apply_plan(poly, greedy_precision_plan(poly, mode)), False
+        return apply_plan(poly, reduce_min_greedy(poly, mode)), False, None
+    return apply_plan(poly, greedy_precision_plan(poly, mode)), False, None
 
 
 def _quartic_pipeline(poly: Polynomial, args: argparse.Namespace):
@@ -128,14 +129,13 @@ def _quartic_pipeline(poly: Polynomial, args: argparse.Namespace):
     if args.wmaxsat_model:
         model = parse_model(_read_text(args.wmaxsat_model))
         selection = selection_from_model(instance, model)
-        proven = False  # an external model carries no optimality proof
+        proven, nodes = False, None  # an external model carries no optimality proof
     else:
         result = solve_wmaxsat_exact(instance, args.ilp_budget)
-        selection = result.selection
-        proven = result.proven_optimal
+        selection, proven, nodes = result.selection, result.proven_optimal, result.nodes
     if args.emit_wcnf:
         Path(args.emit_wcnf).write_text(emit_wcnf(instance))
-    return apply_quartic_plan(poly, instance, selection), proven
+    return apply_quartic_plan(poly, instance, selection), proven, nodes
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -143,7 +143,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if poly.degree() == 4:
         if args.emit_lp:
             raise PuboError("lp emission belongs to the cubic set-cover pipeline")
-        reduced, proven = _quartic_pipeline(poly, args)
+        reduced, proven, nodes = _quartic_pipeline(poly, args)
     else:
         if args.emit_wcnf:
             raise PuboError("wcnf emission requires a degree-4 input")
@@ -151,7 +151,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             raise PuboError("a WMAXSAT model applies to degree-4 input only")
         if args.emit_lp:
             Path(args.emit_lp).write_text(emit_lp(build_set_cover(poly)))
-        reduced, proven = _cubic_pipeline(poly, args)
+        reduced, proven, nodes = _cubic_pipeline(poly, args)
 
     include_offset = not args.precision_ignore_offset
     before = _precision(poly, include_offset)
@@ -169,6 +169,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         ("proven optimal", proven),
         ("output", out_path),
     ]
+    if nodes is not None:
+        summary.append(("solver nodes", nodes))
 
     if args.verify:
         report = verify_reduction(poly, reduced, cap=args.cap)

@@ -19,7 +19,13 @@ per candidate ancilla:
 
 The hard weight is |variables| + 1 so no soft trade-off can pay for a
 hard violation.  `solve_wmaxsat_exact` is a small branch-and-bound over
-the selectors; `apply_quartic_plan` turns a satisfying selection into an
+the selectors.  Its node state is two ints, the masks of selectors set
+true and set false, and each clause is a (positive, negative) mask pair;
+unit propagation visits only the clauses of the selectors just assigned
+(occurrence lists, as in Chaff).  A search that runs out of node budget
+returns the cheaper of its incumbent and a greedy feasible selection, so
+an exhausted budget never falls back to "every selector on".
+`apply_quartic_plan` turns a satisfying selection into an
 exact quadratic reduction through the same `materialize` as the cubic
 path.  The DIMACS-style ``.wcnf`` emitter lets an external MaxSAT solver
 do the selection instead; `parse_model` reads its answer back.
@@ -156,93 +162,54 @@ class WmaxsatResult:
 def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> WmaxsatResult:
     """Minimize the number of selected ancillas subject to the hard clauses.
 
-    Branch and bound: branch on the free selector appearing in the most
-    currently unsatisfied hard clauses, trying False first.  The bound
-    adds, to the selections already made, a greedy packing of unsatisfied
-    clauses over disjoint free variables; clauses with a free negative
-    literal cost nothing (switch that selector off) and are skipped.
-    Exhausting the node budget returns the incumbent unproven.
+    Branch and bound over bitmasks.  A node is two ints, the selectors set
+    true and those set false (bit v is selector v); a hard clause is a
+    (positive, negative) mask pair, and each selector knows the mask of
+    clauses it occurs in.  Unit propagation runs a worklist of clause bits:
+    the root checks every clause, a child only the clauses of the selector
+    it branched on and of each selector propagation forces.  The closure
+    does not depend on the order, so the search prunes the same nodes as a
+    full rescan would.  One pass over the clauses then gives the bound and
+    the unsatisfied clauses.  The bound adds, to the selections already
+    made, a greedy packing of unsatisfied clauses over disjoint free
+    variables; clauses with a free negative literal cost nothing (switch
+    that selector off) and are skipped.  Branching takes the free selector
+    in the most unsatisfied clauses (ties to the lowest index), or the
+    lowest free selector when none is unsatisfied, trying False first.
+
+    Exhausting the node budget returns, unproven, the cheaper of the
+    incumbent and `greedy_selection` (the incumbent on a tie).
     """
     nvars = instance.num_vars
     if nvars == 0:
         return WmaxsatResult(frozenset(), 0, True, 0)
-    hard = instance.hard
-    best_true: frozenset[int] = frozenset(range(1, nvars + 1))
+    clauses, occ = _clause_masks(instance)
+    all_vars = (1 << nvars + 1) - 2
+    best_true = all_vars
     best_cost = nvars
     nodes = 0
     exhausted = False
 
-    def propagate(assignment: dict[int, bool]) -> bool:
-        """Force unit hard clauses until fixpoint; False on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in hard:
-                satisfied = False
-                free: list[int] = []
-                for lit in clause:
-                    value = assignment.get(abs(lit))
-                    if value is None:
-                        free.append(lit)
-                    elif value == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not free:
-                    return False
-                if len(free) == 1:
-                    lit = free[0]
-                    assignment[abs(lit)] = lit > 0
-                    changed = True
-        return True
-
-    def lower_bound(assignment: dict[int, bool], trues: int) -> int:
-        used: set[int] = set()
-        extra = 0
-        for clause in hard:
-            satisfied = False
-            free: list[int] = []
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    free.append(lit)
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied or any(lit < 0 for lit in free):
+    def propagate(true: int, false: int, work: int) -> tuple[int, int] | None:
+        """Force unit clauses reachable from the work bits; None on conflict."""
+        while work:
+            low = work & -work
+            work ^= low
+            _, pos, neg = clauses[low.bit_length() - 1]
+            if pos & true or neg & false:
                 continue
-            free_vars = {lit for lit in free}
-            if free_vars & used:
-                continue
-            used |= free_vars
-            extra += 1
-        return trues + extra
+            free_pos, free_neg = pos & ~false, neg & ~true
+            if free_pos and not free_neg and not free_pos & (free_pos - 1):
+                true |= free_pos
+                work |= occ[free_pos.bit_length() - 1]
+            elif free_neg and not free_pos and not free_neg & (free_neg - 1):
+                false |= free_neg
+                work |= occ[free_neg.bit_length() - 1]
+            elif not (free_pos or free_neg):
+                return None
+        return true, false
 
-    def branch_variable(assignment: dict[int, bool]) -> int | None:
-        score: dict[int, int] = {}
-        for clause in hard:
-            satisfied = False
-            free: list[int] = []
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    free.append(abs(lit))
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            for v in free:
-                score[v] = score.get(v, 0) + 1
-        if score:
-            return min(score, key=lambda v: (-score[v], v))
-        for v in range(1, nvars + 1):
-            if v not in assignment:
-                return v
-        return None
-
-    def dfs(assignment: dict[int, bool]) -> None:
+    def dfs(true: int, false: int, work: int) -> None:
         nonlocal best_true, best_cost, nodes, exhausted
         if exhausted:
             return
@@ -250,24 +217,94 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
         if nodes > node_budget:
             exhausted = True
             return
-        if not propagate(assignment):
+        state = propagate(true, false, work)
+        if state is None:
             return
-        trues = sum(1 for v in assignment.values() if v)
-        if lower_bound(assignment, trues) >= best_cost:
+        true, false = state
+        trues = true.bit_count()
+        used = unsat = touched = 0
+        bound = trues
+        not_true, not_false = ~true, ~false
+        for bit, pos, neg in clauses:
+            if pos & true or neg & false:
+                continue
+            unsat |= bit
+            touched |= pos | neg
+            if neg & not_true:
+                continue
+            free_pos = pos & not_false
+            if not free_pos & used:
+                used |= free_pos
+                bound += 1
+        if bound >= best_cost:
             return
-        v = branch_variable(assignment)
-        if v is None:
-            if trues < best_cost:
-                best_cost = trues
-                best_true = frozenset(k for k, val in assignment.items() if val)
+        free = all_vars & ~(true | false)
+        if unsat:
+            candidates = touched & free
+            v = score = 0
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                u = low.bit_length() - 1
+                s = (occ[u] & unsat).bit_count()
+                if s > score:
+                    v, score = u, s
+        elif free:
+            v = (free & -free).bit_length() - 1
+        else:
+            best_true, best_cost = true, trues
             return
-        for value in (False, True):
-            child = dict(assignment)
-            child[v] = value
-            dfs(child)
+        dfs(true, false | 1 << v, occ[v])
+        dfs(true | 1 << v, false, occ[v])
 
-    dfs({})
-    return WmaxsatResult(best_true, best_cost, not exhausted, nodes)
+    dfs(0, 0, (1 << len(clauses)) - 1)
+    if exhausted:
+        greedy = greedy_selection(instance)
+        if greedy is not None and len(greedy) < best_cost:
+            return WmaxsatResult(greedy, len(greedy), False, nodes)
+    selection = frozenset(v for v in range(1, nvars + 1) if best_true >> v & 1)
+    return WmaxsatResult(selection, best_cost, not exhausted, nodes)
+
+
+def greedy_selection(instance: WmaxsatInstance) -> frozenset[int] | None:
+    """A feasible selection built by switching selectors on one at a time.
+
+    Starting from none, switch on the selector that occurs positively in
+    the most unsatisfied hard clauses, ties to the lowest index, until no
+    clause is unsatisfied.  None when an unsatisfied clause has no
+    positive literal left to switch on.
+    """
+    clauses, occ = _clause_masks(instance)
+    nvars = instance.num_vars
+    on = 0
+    while True:
+        unsat = sum(bit for bit, pos, neg in clauses if not (pos & on or neg & ~on))
+        if not unsat:
+            return frozenset(v for v in range(1, nvars + 1) if on >> v & 1)
+        # A selector that is still off occurs in an unsatisfied clause only positively.
+        score, neg_v = max(
+            (((occ[u] & unsat).bit_count(), -u) for u in range(1, nvars + 1) if not on >> u & 1), default=(0, 0)
+        )
+        if not score:
+            return None
+        on |= 1 << -neg_v
+
+
+def _clause_masks(instance: WmaxsatInstance) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Each hard clause c as (1 << c, positive selector mask, negative
+    selector mask), and for each selector the mask of the clauses it occurs in."""
+    clauses: list[tuple[int, int, int]] = []
+    occ = [0] * (instance.num_vars + 1)
+    for c, clause in enumerate(instance.hard):
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
+            occ[abs(lit)] |= 1 << c
+        clauses.append((1 << c, pos, neg))
+    return clauses, occ
 
 
 def selection_satisfies(instance: WmaxsatInstance, selection: frozenset[int]) -> bool:

@@ -1,0 +1,47 @@
+"""tools/bench_pairs.py: seed ranges, per-figure summaries and digest checks."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pairs import digests_equal, parse_seeds, summarize  # noqa: E402
+
+
+def test_parse_seeds():
+    assert parse_seeds("3-6") == [3, 4, 5, 6]
+    assert parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        parse_seeds("6-3")
+
+
+def run(p50, ref_ms, rss, digest="d"):
+    return {
+        "metrics": {"compile_p50_ref": p50, "peak_rss_mb": rss},
+        "reference_ms_p50": ref_ms,
+        "qubo_sha256_first_ops": digest,
+    }
+
+
+def test_summarize_counts_wins_by_direction():
+    pairs = [
+        {"parent": run(3.0, 15.0, 27.0), "change": run(0.6, 16.0, 29.0)},
+        {"parent": run(2.0, 17.0, 27.0), "change": run(2.5, 14.0, 26.0)},
+        {"parent": run(4.0, 16.0, 27.0), "change": run(0.7, 18.0, 29.0)},
+    ]
+    better = {"compile_p50_ref": "lower", "peak_rss_mb": "lower", "reference_ms_p50": "lower", "ok_frac": "higher"}
+    summary = summarize(pairs, better)
+    assert summary["compile_p50_ref"]["change_wins"] == 2
+    assert summary["compile_p50_ref"]["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    assert summary["peak_rss_mb"]["change_wins"] == 1
+    assert summary["reference_ms_p50"]["change"]["median"] == 16.0
+    assert summary["reference_ms_p50"]["pairs"] == 3
+    assert "ok_frac" not in summary  # absent from every run
+
+
+def test_digests_equal():
+    assert digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "a")})
+    assert not digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "b")})
+    assert not digests_equal({"parent": run(1, 1, 1, None), "change": run(1, 1, 1, None)})

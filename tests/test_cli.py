@@ -9,6 +9,8 @@ import pytest
 from puboforge.cli import run
 from puboforge.gadgets import parse_qubo
 from puboforge.poly import parse_polynomial
+from puboforge.setcover import build_set_cover, set_cover_to_ilp, solve_ilp_exact
+from puboforge.wmaxsat import build_wmaxsat, solve_wmaxsat_exact
 from util import computational_assignments, min_over_ancilla
 
 WORKED_PUBO = "p pubo 5\n1 1 2 3\n1 1 4 5\n1 2 3 5\n"
@@ -106,6 +108,55 @@ class TestCompile:
         obj = json.loads(capsys.readouterr().out)
         assert obj["proven_optimal"] is False
         assert obj["ancilla"] == len(parse_qubo(out.read_text()).registry) >= 12
+
+    def test_exhausted_quartic_budget_falls_back_to_greedy(self, tmp_path, capsys):
+        # every quartic term over 6 variables: 35 selectors, optimum 8; one
+        # node ends the search before any leaf, and the greedy selection
+        # replaces "every selector on"
+        src = tmp_path / "q6.pubo"
+        terms = "".join(f"1 {' '.join(map(str, t))}\n" for t in combinations(range(1, 7), 4))
+        src.write_text(f"p pubo 6\n{terms}")
+        out = tmp_path / "q6.qubo"
+        assert run(["compile", str(src), "-o", str(out), "--ilp-budget", "1", "--json", "--verify"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["proven_optimal"] is False
+        assert obj["verified"] is True
+        assert obj["ancilla"] == len(parse_qubo(out.read_text()).registry) < 35
+
+    @pytest.mark.parametrize(
+        "text, solve",
+        [
+            (WORKED_PUBO, lambda poly, budget: solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly)), budget)),
+            (QUARTIC_PUBO, lambda poly, budget: solve_wmaxsat_exact(build_wmaxsat(poly), budget)),
+        ],
+        ids=["cubic", "quartic"],
+    )
+    def test_solver_nodes_in_summary(self, text, solve, tmp_path, capsys):
+        src = tmp_path / "p.pubo"
+        src.write_text(text)
+        poly = parse_polynomial(text)
+        expected = solve(poly, 10**6).nodes
+        assert run(["compile", str(src), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver_nodes"] == expected
+        assert run(["compile", str(src)]) == 0
+        assert f"solver nodes: {expected}\n" in capsys.readouterr().out
+        # At budget 1 the quartic search runs out, and the count includes
+        # the node that hit the budget.
+        at_one = solve(poly, 1)
+        assert at_one.nodes == (1 if at_one.proven_optimal else 2)
+        assert run(["compile", str(src), "--ilp-budget", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver_nodes"] == at_one.nodes
+
+    def test_no_solver_nodes_without_a_solver(self, worked, quartic, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("1 -2 -3 -4 -5 6 -7 -8 -9 -10\n")
+        for argv in (
+            [str(worked), "--strategy", "reduce-min"],
+            [str(worked), "--strategy", "min-precision"],
+            [str(quartic), "--wmaxsat-model", str(model)],
+        ):
+            assert run(["compile", *argv, "--json"]) == 0
+            assert "solver_nodes" not in json.loads(capsys.readouterr().out)
 
     def test_emit_lp_sidecar(self, worked, tmp_path):
         lp = tmp_path / "cover.lp"

@@ -1,5 +1,6 @@
-"""The incremental planners, the bitmask cover, one-pass materializers and
-the coefficient-comparing oracle against slow references.
+"""The incremental planners, the bitmask cover and WMAXSAT solvers,
+one-pass materializers and the coefficient-comparing oracle against slow
+references.
 
 The references in util.py rescore or recount every remaining term each
 round, build each penalty as its own polynomial, and verify by evaluating
@@ -8,6 +9,7 @@ the burden w, in the occurrence counts and in the ReduceMin pair counts
 common, so the tie-breaks are exercised too.
 """
 
+import math
 import operator
 import random
 from itertools import combinations, product
@@ -43,7 +45,7 @@ from puboforge.setcover import (
     solve_ilp_exact,
 )
 from puboforge.verify import verify_reduction
-from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
+from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, selection_satisfies, solve_wmaxsat_exact
 from util import (
     chain_selection,
     random_poly,
@@ -57,6 +59,7 @@ from util import (
     reference_reduce_min_greedy,
     reference_set_cover_to_ilp,
     reference_solve_ilp_exact,
+    reference_solve_wmaxsat_exact,
     reference_verify_reduction,
 )
 
@@ -145,6 +148,42 @@ def test_apply_quartic_plan_bytes_match_reference():
         for selection in selections:
             got = emit_qubo(apply_quartic_plan(poly, instance, selection))
             assert got == emit_qubo(reference_apply_quartic_plan(poly, instance, selection))
+
+
+def wmaxsat_instances():
+    """Seeded selection problems: mixed degree-4 (n = 4..8), cubic only,
+    and n=8 with 4 quartic, 4 cubic and ~30% of the quadratic terms."""
+    rng = random.Random("equivalence:wmaxsat")
+    for i in range(160):
+        yield build_wmaxsat(random_quartic(rng, 4 + i % 5))
+    for i in range(80):
+        n = 4 + i % 5
+        triples = rng.sample(list(combinations(range(1, n + 1), 3)), rng.randint(1, min(10, math.comb(n, 3))))
+        yield build_wmaxsat(Polynomial(n, {monomial([xvar(v) for v in t]): rng.choice(SMALL) for t in triples}))
+    for _ in range(60):
+        terms = {monomial([xvar(v) for v in p]): rng.choice(SMALL) for p in combinations(range(1, 9), 2) if rng.random() < 0.3}
+        for degree in (3, 4):
+            for t in rng.sample(list(combinations(range(1, 9), degree)), 4):
+                terms[monomial([xvar(v) for v in t])] = rng.choice(SMALL)
+        yield build_wmaxsat(Polynomial(8, terms))
+
+
+def test_bitmask_wmaxsat_searches_the_reference_tree():
+    # Budgets 1, 3 and 50 stop most searches early; there the greedy
+    # fallback may only improve on the reference's incumbent.
+    improved = 0
+    for instance in wmaxsat_instances():
+        for budget in (1, 3, 50, 20000):
+            result = solve_wmaxsat_exact(instance, budget)
+            expected = reference_solve_wmaxsat_exact(instance, budget)
+            assert (result.nodes, result.proven_optimal) == (expected.nodes, expected.proven_optimal)
+            if expected.proven_optimal:
+                assert result == expected
+            else:
+                assert result.cost <= expected.cost
+                assert selection_satisfies(instance, result.selection)
+                improved += result.cost < expected.cost
+    assert improved
 
 
 def test_penalty_search_matches_full_brute_force():

@@ -9,10 +9,12 @@ from puboforge.poly import ParseError, PuboError
 from puboforge.setcover import build_set_cover, set_cover_to_ilp, solve_ilp_exact
 from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import (
+    WmaxsatInstance,
     apply_quartic_plan,
     build_wmaxsat,
     decode_ancilla_set,
     emit_wcnf,
+    greedy_selection,
     parse_model,
     parse_wcnf,
     selection_from_model,
@@ -167,6 +169,27 @@ class TestSolve:
         result = solve_wmaxsat_exact(inst, node_budget=1)
         assert not result.proven_optimal
         assert selection_satisfies(inst, result.selection)
+        # the search never reached a leaf, so the greedy selection stands in
+        # for "every selector on" (35); the optimum is 8
+        assert result.selection == greedy_selection(inst)
+        assert (inst.num_vars, result.cost) == (35, 10)
+        assert solve_wmaxsat_exact(inst).cost == 8
+
+    def test_greedy_selection_is_feasible(self):
+        rng = random.Random("wmaxsat-greedy")
+        for _ in range(30):
+            inst = build_wmaxsat(random_quartic(rng, rng.randint(4, 8)))
+            greedy = greedy_selection(inst)
+            assert selection_satisfies(inst, greedy)
+            assert solve_wmaxsat_exact(inst).cost <= len(greedy) < inst.num_vars
+
+    def test_greedy_selection_ties_and_dead_ends(self):
+        # selectors 1 and 2 each fix the one clause: the tie goes to 1
+        inst = WmaxsatInstance(((1, 2), (1, 3)), (), ((1, 2),))
+        assert greedy_selection(inst) == frozenset({1})
+        # switching 1 on breaks (-1,), which has no positive literal to fix it
+        inst = WmaxsatInstance(((1, 2), (1, 3)), (), ((1, 2), (-1,)))
+        assert greedy_selection(inst) is None
 
     def test_deterministic(self):
         p = poly_of(5, {(1, 2, 3, 4): 2, (2, 3, 4, 5): -1, (1, 2, 5): 3})

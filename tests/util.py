@@ -37,7 +37,7 @@ from puboforge.poly import (
 )
 from puboforge.setcover import IlpResult
 from puboforge.verify import VerificationReport
-from puboforge.wmaxsat import WmaxsatInstance, decode_ancilla_set
+from puboforge.wmaxsat import WmaxsatInstance, WmaxsatResult, decode_ancilla_set
 
 
 def poly_of(n, entries, const=0):
@@ -677,3 +677,128 @@ def reference_emit_lp(sc: ReferenceSetCoverInstance) -> str:
         lines.append(f"cover_{i + 1}: " + " ".join(f"+v{j}" for j in members) + " >= 1;")
     lines.append("binary " + ",".join(f"v{j}" for j in range(1, ncols + 1)) + ";")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Slow reference WMAXSAT solver: the dict-per-node branch-and-bound that
+# rescans every clause literal by literal in propagation, in the bound and
+# in branching.  The bitmask solver must search the same tree: equal node
+# counts and proven flags at every budget, and equal results when proven.
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> WmaxsatResult:
+    """Minimize the number of selected ancillas subject to the hard clauses.
+
+    Branch and bound: branch on the free selector appearing in the most
+    currently unsatisfied hard clauses, trying False first.  The bound
+    adds, to the selections already made, a greedy packing of unsatisfied
+    clauses over disjoint free variables; clauses with a free negative
+    literal cost nothing (switch that selector off) and are skipped.
+    Exhausting the node budget returns the incumbent unproven.
+    """
+    nvars = instance.num_vars
+    if nvars == 0:
+        return WmaxsatResult(frozenset(), 0, True, 0)
+    hard = instance.hard
+    best_true: frozenset[int] = frozenset(range(1, nvars + 1))
+    best_cost = nvars
+    nodes = 0
+    exhausted = False
+
+    def propagate(assignment: dict[int, bool]) -> bool:
+        """Force unit hard clauses until fixpoint; False on conflict."""
+        changed = True
+        while changed:
+            changed = False
+            for clause in hard:
+                satisfied = False
+                free: list[int] = []
+                for lit in clause:
+                    value = assignment.get(abs(lit))
+                    if value is None:
+                        free.append(lit)
+                    elif value == (lit > 0):
+                        satisfied = True
+                        break
+                if satisfied:
+                    continue
+                if not free:
+                    return False
+                if len(free) == 1:
+                    lit = free[0]
+                    assignment[abs(lit)] = lit > 0
+                    changed = True
+        return True
+
+    def lower_bound(assignment: dict[int, bool], trues: int) -> int:
+        used: set[int] = set()
+        extra = 0
+        for clause in hard:
+            satisfied = False
+            free: list[int] = []
+            for lit in clause:
+                value = assignment.get(abs(lit))
+                if value is None:
+                    free.append(lit)
+                elif value == (lit > 0):
+                    satisfied = True
+                    break
+            if satisfied or any(lit < 0 for lit in free):
+                continue
+            free_vars = {lit for lit in free}
+            if free_vars & used:
+                continue
+            used |= free_vars
+            extra += 1
+        return trues + extra
+
+    def branch_variable(assignment: dict[int, bool]) -> int | None:
+        score: dict[int, int] = {}
+        for clause in hard:
+            satisfied = False
+            free: list[int] = []
+            for lit in clause:
+                value = assignment.get(abs(lit))
+                if value is None:
+                    free.append(abs(lit))
+                elif value == (lit > 0):
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            for v in free:
+                score[v] = score.get(v, 0) + 1
+        if score:
+            return min(score, key=lambda v: (-score[v], v))
+        for v in range(1, nvars + 1):
+            if v not in assignment:
+                return v
+        return None
+
+    def dfs(assignment: dict[int, bool]) -> None:
+        nonlocal best_true, best_cost, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if not propagate(assignment):
+            return
+        trues = sum(1 for v in assignment.values() if v)
+        if lower_bound(assignment, trues) >= best_cost:
+            return
+        v = branch_variable(assignment)
+        if v is None:
+            if trues < best_cost:
+                best_cost = trues
+                best_true = frozenset(k for k, val in assignment.items() if val)
+            return
+        for value in (False, True):
+            child = dict(assignment)
+            child[v] = value
+            dfs(child)
+
+    dfs({})
+    return WmaxsatResult(best_true, best_cost, not exhausted, nodes)
