@@ -288,9 +288,7 @@ class ReductionPlan:
         normalized = {
             (min(p), max(p)): frozenset(ks) for p, ks in assignments.items() if ks
         }
-        plan = cls(mode, normalized, {})
-        plan.validate(poly)
-        cubic = poly.cubic_terms()
+        cubic = cls(mode, normalized, {}).validate(poly)
         deltas: dict[tuple[Pair, int], int] = {}
         for pair in sorted(normalized):
             alphas = [
@@ -314,8 +312,9 @@ class ReductionPlan:
     def ancilla_count(self) -> int:
         return len(self.assignments) * (3 if self.mode is GadgetMode.TRIPLE else 1)
 
-    def validate(self, poly: Polynomial) -> None:
-        """Check exactly-once coverage of the polynomial's cubic terms."""
+    def validate(self, poly: Polynomial) -> dict[Triple, int]:
+        """Check exactly-once coverage of the polynomial's cubic terms, and
+        return them (`Polynomial.cubic_terms`) so callers need not rebuild them."""
         if poly.degree() > 3:
             raise DegreeError("plans cover cubic terms only; reduce degree-4 input via the quartic pipeline")
         cubic = poly.cubic_terms()
@@ -338,6 +337,7 @@ class ReductionPlan:
         missing = set(cubic) - set(seen)
         if missing:
             raise PlanError(f"cubic terms not covered by the plan: {sorted(missing)}")
+        return cubic
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +405,7 @@ def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
     contributes its grouped product terms, and each ancilla copy the
     penalty weight the plan records for it.
     """
-    plan.validate(poly)
-    cubic = poly.cubic_terms()
+    cubic = plan.validate(poly)
     single = plan.mode is GadgetMode.SINGLE
     defs: list[AncillaDef] = []
     products: dict[Monomial, int] = {}

@@ -9,14 +9,18 @@ term is covered by exactly its three own pairs).
 The cover has one form from construction to solver, plan and LP text:
 candidate j is an int bitmask whose bit i stands for universe row i, and
 the 0-1 integer program (fewest candidates covering every row) is just
-these masks plus the row count.  A small branch-and-bound solves it
-exactly: branch on the candidate covering the most uncovered rows, force
-candidates that are a row's last option, and prune with two lower bounds
-(uncovered rows divided by the best remaining coverage, and a greedy
-packing of rows with disjoint candidate sets).  `_greedy_cover`, the one
-ReduceMin rule (most uncovered rows, ties to the lowest index, i.e. the
-smallest pair), plans `reduce_min_greedy` and gives the solver its
-incumbent, so budget exhaustion still returns a valid, usually good, plan.
+these masks plus the row count.  `solve_ilp_exact` solves it exactly by
+branch-and-bound, pruning with `cover_bound`.  With U the uncovered rows
+and cmax the largest gain (a candidate's count of rows in U), pack rows of
+U with pairwise disjoint candidate sets, greedily in row order; each needs
+its own candidate, and those cover at most reach rows, the sum of each
+packed row's largest gain.  Any other candidate covers at most cmax, so at
+least packing + ceil(max(0, |U| - reach) / cmax) are needed.  This is never
+below the textbook max(ceil(|U| / cmax), packing) (Caprara, Toth &
+Fischetti, Ann. Oper. Res. 98, 2000), as reach <= packing * cmax.  The
+one ReduceMin rule, `_greedy_cover` (most uncovered rows, ties to the
+lowest index, i.e. the smallest pair), plans `reduce_min_greedy` and gives
+the solver its incumbent, so budget exhaustion still returns a valid plan.
 
 `quarter_squares` and `mantel_construction` give the saturation law: when
 every triple over n variables is present, the optimum cover size is
@@ -30,7 +34,7 @@ the exact solver.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,12 +71,14 @@ class IlpResult:
     nodes: int
 
 
-def _bits(mask: int) -> Iterator[int]:
+# The set bits of each byte value, for `_bits`.
+_BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    octets = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + b for k, octet in enumerate(octets) for b in _BYTE_BITS[octet]]
 
 
 def build_set_cover(poly: Polynomial) -> SetCoverInstance:
@@ -119,51 +125,58 @@ def _greedy_cover(columns: Sequence[int], nrows: int) -> list[tuple[int, int]]:
     return picks
 
 
+def cover_bound(uncovered: int, banned: int, gains: list[int], row_cands: list[int], row_cols: list[list[int]]) -> tuple[int, int]:
+    """The module docstring's lower bound on the columns needed for the nonzero
+    ``uncovered`` rows without the ``banned`` ones (above the row count if a
+    row has none left), and the first uncovered row's one column left, else -1.
+    Row i's columns are the mask ``row_cands[i]`` and the indices ``row_cols[i]``;
+    ``gains[j]`` counts column j's uncovered rows, and is <= 0 if j is banned."""
+    taken = packing = reach = 0
+    forced, allowed, gain = -1, ~banned, gains.__getitem__
+    for i in _bits(uncovered):
+        cands = row_cands[i] & allowed
+        if cands == 0:
+            return len(row_cands) + 1, -1
+        if forced < 0 and cands & (cands - 1) == 0:
+            forced = cands.bit_length() - 1
+        if cands & taken == 0:
+            taken |= cands
+            packing += 1
+            reach += max(map(gain, row_cols[i]))  # banned gains are <= 0
+    return packing + -(-max(0, uncovered.bit_count() - reach) // max(gains)), forced
+
+
 def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
     """Exact branch-and-bound for the cover ILP.
 
-    Deterministic: branching, tie-breaking, and propagation orders are fixed.
-    Exhausting ``node_budget`` returns the best incumbent with
-    ``proven_optimal=False``; the incumbent is never worse than greedy.
-    """
+    Depth first from the greedy incumbent: force the first uncovered row's
+    last column, else take, then ban, the column of largest gain (ties to
+    the lowest index).  Each node carries the gains; a take lowers those of
+    each newly covered row's columns, a ban zeroes the column's own.  As
+    `cover_bound` is never below the max(ceil(|U| / cmax), packing) bound
+    this search pruned with before, it visits a subsequence of that search's
+    nodes and finds the same incumbents: a proven result is the same
+    selection.  Exhausting ``node_budget`` returns the best incumbent (never
+    worse than greedy) with ``proven_optimal=False``."""
     nrows, cover_masks = ilp.nrows, ilp.columns
-    ncols = len(cover_masks)
     row_cands = [0] * nrows
     for j, mask in enumerate(cover_masks):
         for i in _bits(mask):
             row_cands[i] |= 1 << j
+    row_cols = [_bits(cands) for cands in row_cands]
 
     greedy = _greedy_cover(cover_masks, nrows)
     best_mask, best_cost = sum(1 << j for j, _ in greedy), len(greedy)
     nodes, exhausted = 0, False
 
-    def bound_and_branch(uncovered: int, banned: int) -> tuple[int, int, int]:
-        """A lower bound on the candidates still needed, the one candidate
-        left to the first uncovered row that has only one (else -1), and the
-        candidate covering the most uncovered rows (ties to the lowest index)."""
-        # Bound 1: the best remaining candidate covers cmax rows at a time.
-        best_j, cmax = -1, 0
-        for j in range(ncols):
-            if not banned >> j & 1:
-                gain = (cover_masks[j] & uncovered).bit_count()
-                if gain > cmax:
-                    best_j, cmax = j, gain
-        # Bound 2: rows whose candidate sets are pairwise disjoint each need
-        # their own candidate.
-        taken = packing = 0
-        forced = -1
-        for i in _bits(uncovered):
-            cands = row_cands[i] & ~banned
-            if cands == 0:
-                return nrows + 1, -1, -1  # an uncoverable row: prune
-            if forced < 0 and cands & (cands - 1) == 0:
-                forced = cands.bit_length() - 1
-            if cands & taken == 0:
-                taken |= cands
-                packing += 1
-        return max(-(-uncovered.bit_count() // cmax), packing), forced, best_j
+    def take(gains: list[int], uncovered: int, j: int) -> int:
+        """Cover column j's rows in ``gains`` (in place); the rows left."""
+        for i in _bits(cover_masks[j] & uncovered):
+            for k in row_cols[i]:
+                gains[k] -= 1
+        return uncovered & ~cover_masks[j]
 
-    def dfs(uncovered: int, banned: int, chosen_mask: int, nchosen: int) -> None:
+    def dfs(uncovered: int, banned: int, gains: list[int], chosen_mask: int, nchosen: int) -> None:
         nonlocal best_mask, best_cost, nodes, exhausted
         if exhausted:
             return
@@ -176,7 +189,7 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
                 if nchosen < best_cost:
                     best_cost, best_mask = nchosen, chosen_mask
                 return
-            bound, forced, best_j = bound_and_branch(uncovered, banned)
+            bound, forced = cover_bound(uncovered, banned, gains, row_cands, row_cols)
             if nchosen + bound >= best_cost:
                 return
             if forced < 0:
@@ -184,14 +197,16 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
             # Force the candidate that is the last option for some row.
             chosen_mask |= 1 << forced
             nchosen += 1
-            uncovered &= ~cover_masks[forced]
+            uncovered = take(gains, uncovered, forced)
         # Branch on the candidate covering the most uncovered rows.
-        dfs(uncovered & ~cover_masks[best_j], banned, chosen_mask | (1 << best_j), nchosen + 1)
-        dfs(uncovered, banned | (1 << best_j), chosen_mask, nchosen)
+        best_j = gains.index(max(gains))
+        child = gains.copy()
+        dfs(take(child, uncovered, best_j), banned, child, chosen_mask | (1 << best_j), nchosen + 1)
+        gains[best_j] = 0
+        dfs(uncovered, banned | (1 << best_j), gains, chosen_mask, nchosen)
 
-    dfs((1 << nrows) - 1, 0, 0, 0)
-    selection = tuple((best_mask >> j) & 1 for j in range(ncols))
-    return IlpResult(selection, best_cost, not exhausted, nodes)
+    dfs((1 << nrows) - 1, 0, [mask.bit_count() for mask in cover_masks], 0, 0)
+    return IlpResult(tuple(best_mask >> j & 1 for j in range(len(cover_masks))), best_cost, not exhausted, nodes)
 
 
 def plan_from_cover(
@@ -211,7 +226,7 @@ def plan_from_cover(
             picks.append((j, sc.covers[j] & unowned))
             unowned &= ~sc.covers[j]
     if unowned:
-        raise PlanError(f"selection does not cover cubic term {sc.universe[next(_bits(unowned))]}")
+        raise PlanError(f"selection does not cover cubic term {sc.universe[_bits(unowned)[0]]}")
     return _plan(sc, picks, poly, mode)
 
 

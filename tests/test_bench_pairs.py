@@ -1,13 +1,18 @@
-"""tools/bench_pairs.py: seed ranges, per-figure summaries and digest checks."""
+"""tools/bench_pairs.py: seed ranges, per-figure summaries and digest
+checks, and the committed BENCH_*.json files it wrote."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import digests_equal, parse_seeds, summarize  # noqa: E402
+from bench_pairs import digests_equal, directions, parse_seeds, summarize  # noqa: E402
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def test_parse_seeds():
@@ -45,3 +50,13 @@ def test_digests_equal():
     assert digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "a")})
     assert not digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "b")})
     assert not digests_equal({"parent": run(1, 1, 1, None), "change": run(1, 1, 1, None)})
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_is_whole(path):
+    bench = json.loads(path.read_text())
+    assert bench["all_correct"] is True
+    assert bench["qubo_digests_equal"] is True
+    assert len(bench["runs"]) >= 10
+    assert all(digests_equal(pair) for pair in bench["runs"])
+    assert bench["summary"] == summarize(bench["runs"], directions())

@@ -20,7 +20,7 @@ from puboforge.gadgets import (
     penalty_s,
     verify_penalty_minimality,
 )
-from puboforge.poly import ParseError, avar, xvar
+from puboforge.poly import ParseError, Polynomial, avar, xvar
 from util import (
     computational_assignments,
     min_over_ancilla,
@@ -185,6 +185,17 @@ class TestApplyPlan:
         reduced = apply_plan(p, plan)
         assert reduced.ancilla_count() == 1
         assert pointwise_matches(p, reduced)
+
+    def test_validate_returns_the_cubic_terms(self, monkeypatch):
+        # Planning and applying a plan build the cubic term dict once each.
+        p = poly_of(4, {(1, 2, 3): 2, (1, 2, 4): -3})
+        calls = []
+        cubic_terms = Polynomial.cubic_terms
+        monkeypatch.setattr(Polynomial, "cubic_terms", lambda self: calls.append(1) or cubic_terms(self))
+        plan = ReductionPlan.from_assignment(p, {(1, 2): {3, 4}}, GadgetMode.SINGLE)
+        apply_plan(p, plan)
+        assert len(calls) == 2
+        assert plan.validate(p) == {(1, 2, 3): 2, (1, 2, 4): -3}
 
     def test_plan_must_cover_every_cubic_term(self):
         p = poly_of(4, {(1, 2, 3): 1, (2, 3, 4): 1})

@@ -1,5 +1,7 @@
 """Minimum-ancilla planning: cover construction, exact ILP, greedy, saturation."""
 
+import functools
+import operator
 import random
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from puboforge.poly import PuboError, parse_polynomial
 from puboforge.setcover import (
     IlpInstance,
     build_set_cover,
+    cover_bound,
     emit_lp,
     mantel_construction,
     plan_from_cover,
@@ -136,6 +139,74 @@ class TestExactIlp:
         a = solve_ilp_exact(set_cover_to_ilp(sc))
         b = solve_ilp_exact(set_cover_to_ilp(sc))
         assert a == b
+
+
+def residual_cover_minimum(columns, uncovered, banned):
+    """Fewest allowed columns covering the nonzero ``uncovered``, by subset
+    enumeration (None when the allowed columns cannot cover it)."""
+    allowed = [mask & uncovered for j, mask in enumerate(columns) if not banned >> j & 1]
+    for size in range(1, len(allowed) + 1):
+        for subset in combinations(allowed, size):
+            if functools.reduce(operator.or_, subset) == uncovered:
+                return size
+    return None
+
+
+class TestCoverBound:
+    """`cover_bound` at random search states of small covers, against the
+    brute-force residual minimum and the bound it replaced."""
+
+    def states(self):
+        rng = random.Random("cover-bound")
+        for _ in range(250):
+            n = rng.randint(4, 7)
+            lam = rng.randint(2, min(12, len(list(combinations(range(n), 3)))))
+            sc = build_set_cover(random_cubic_poly(rng, n, lam))
+            if len(sc.candidates) > 18:
+                continue
+            for _ in range(6):
+                uncovered = rng.randrange(1, 1 << len(sc.universe))
+                banned = sum(1 << j for j in range(len(sc.covers)) if rng.random() < 0.35)
+                # A banned column's gain is 0 when it is banned, and falls by
+                # one for each of its rows covered after that.
+                gains = [
+                    -rng.randint(0, (mask & ~uncovered).bit_count()) if banned >> j & 1
+                    else (mask & uncovered).bit_count()
+                    for j, mask in enumerate(sc.covers)
+                ]
+                yield sc.covers, len(sc.universe), uncovered, banned, gains
+
+    def test_bound_is_valid_and_never_weaker_than_the_old_one(self):
+        tight = clipped = pruned = 0
+        for columns, nrows, uncovered, banned, gains in self.states():
+            row_cols = [tuple(j for j, mask in enumerate(columns) if mask >> i & 1) for i in range(nrows)]
+            row_cands = [sum(1 << j for j in cols) for cols in row_cols]
+            bound, forced = cover_bound(uncovered, banned, gains, row_cands, row_cols)
+            minimum = residual_cover_minimum(columns, uncovered, banned)
+            if minimum is None:
+                assert bound > nrows
+                pruned += 1
+                continue
+            # Recomputed from the masks: the old bound (the uncovered rows
+            # over the best gain, and the greedy packing of rows with
+            # disjoint candidate sets), the single-candidate rows, and reach.
+            cmax = max((mask & uncovered).bit_count() for j, mask in enumerate(columns) if not banned >> j & 1)
+            taken = packing = reach = 0
+            singles = []
+            for i in range(nrows):
+                cands = row_cands[i] & ~banned
+                if uncovered >> i & 1 and cands & (cands - 1) == 0:
+                    singles.append(cands.bit_length() - 1)
+                if uncovered >> i & 1 and cands & taken == 0:
+                    taken, packing = taken | cands, packing + 1
+                    reach += max((columns[j] & uncovered).bit_count() for j in row_cols[i] if cands >> j & 1)
+            assert max(-(-uncovered.bit_count() // cmax), packing) <= bound <= minimum
+            assert forced == (singles[0] if singles else -1)
+            tight += bound == minimum
+            clipped += reach > uncovered.bit_count()
+        # Enough tight, clipped and uncoverable states that a bound one too
+        # high, a dropped clip or a missed prune fails above.
+        assert tight > 1000 and clipped > 100 and pruned > 100
 
 
 class TestReduceMin:

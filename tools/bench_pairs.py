@@ -104,6 +104,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def directions() -> dict[str, str]:
+    """Each summarized figure's better direction: BENCHMARK.json's end-to-end
+    metrics and the report-only timings."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    better.update({key: "lower" for key in LOWER_IS_BETTER_INFO})
+    return better
+
+
 def digests_equal(pair: dict) -> bool:
     digests = [pair[side].get("qubo_sha256_first_ops") for side in SIDES]
     return digests[0] is not None and digests[0] == digests[1]
@@ -121,10 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} has no perfbench/run.py")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    better.update({key: "lower" for key in LOWER_IS_BETTER_INFO})
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    better = directions()
     out = ROOT / f"BENCH_{args.workload}.json"
 
     pairs: list[dict] = []
