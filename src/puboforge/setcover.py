@@ -156,8 +156,9 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
     `cover_bound` is never below the max(ceil(|U| / cmax), packing) bound
     this search pruned with before, it visits a subsequence of that search's
     nodes and finds the same incumbents: a proven result is the same
-    selection.  Exhausting ``node_budget`` returns the best incumbent (never
-    worse than greedy) with ``proven_optimal=False``."""
+    selection.  Exhausting ``node_budget`` (counting expanded nodes only)
+    returns the best incumbent (never worse than greedy) with
+    ``proven_optimal=False``."""
     nrows, cover_masks = ilp.nrows, ilp.columns
     row_cands = [0] * nrows
     for j, mask in enumerate(cover_masks):
@@ -178,12 +179,10 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
 
     def dfs(uncovered: int, banned: int, gains: list[int], chosen_mask: int, nchosen: int) -> None:
         nonlocal best_mask, best_cost, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:
             exhausted = True
             return
+        nodes += 1
         while True:
             if uncovered == 0:
                 if nchosen < best_cost:

@@ -22,9 +22,11 @@ hard violation.  `solve_wmaxsat_exact` is a small branch-and-bound over
 the selectors.  Its node state is two ints, the masks of selectors set
 true and set false, and each clause is a (positive, negative) mask pair;
 unit propagation visits only the clauses of the selectors just assigned
-(occurrence lists, as in Chaff).  A search that runs out of node budget
-returns the cheaper of its incumbent and a greedy feasible selection, so
-an exhausted budget never falls back to "every selector on".
+(occurrence lists, as in Chaff).  The search starts with an upper bound,
+`greedy_selection`, as its incumbent and a threshold one above its cost:
+it finds the same first optimal leaf as a search from "every selector
+on", at a subsequence of that search's nodes, and an exhausted budget
+never falls back to "every selector on".
 `apply_quartic_plan` turns a satisfying selection into an
 exact quadratic reduction through the same `materialize` as the cubic
 path.  The DIMACS-style ``.wcnf`` emitter lets an external MaxSAT solver
@@ -177,16 +179,28 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
     in the most unsatisfied clauses (ties to the lowest index), or the
     lowest free selector when none is unsatisfied, trying False first.
 
-    Exhausting the node budget returns, unproven, the cheaper of the
-    incumbent and `greedy_selection` (the incumbent on a tie).
+    Upper bound: before the first node, `greedy_selection` becomes the
+    incumbent when it is cheaper than every selector on, and only leaves
+    below its cost + 1 are accepted, so a leaf of the greedy cost still
+    replaces it.  Proven selections do not change: propagation, bound and
+    branching depend only on the node, so a complete search whose threshold
+    starts above the optimum returns the first leaf of optimal cost in
+    depth-first order, whether it starts at the greedy cost + 1 or at
+    every selector on (when nothing is cheaper than every selector on, the
+    two starts are the same).  The threshold is never above the all-on
+    search's at the same point of the walk, so the nodes visited are a
+    subsequence of that search's.  Exhausting the node budget (counting
+    expanded nodes only) returns, unproven, the incumbent: a leaf no
+    costlier than the greedy selection, or that selection itself.
     """
     nvars = instance.num_vars
     if nvars == 0:
         return WmaxsatResult(frozenset(), 0, True, 0)
     clauses, occ = _clause_masks(instance)
     all_vars = (1 << nvars + 1) - 2
-    best_true = all_vars
-    best_cost = nvars
+    greedy = _greedy_mask(clauses, occ, nvars)
+    best_true = all_vars if greedy is None else greedy
+    best_cost = min(nvars, best_true.bit_count() + 1)
     nodes = 0
     exhausted = False
 
@@ -211,12 +225,10 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
 
     def dfs(true: int, false: int, work: int) -> None:
         nonlocal best_true, best_cost, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:
             exhausted = True
             return
+        nodes += 1
         state = propagate(true, false, work)
         if state is None:
             return
@@ -258,12 +270,7 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
         dfs(true | 1 << v, false, occ[v])
 
     dfs(0, 0, (1 << len(clauses)) - 1)
-    if exhausted:
-        greedy = greedy_selection(instance)
-        if greedy is not None and len(greedy) < best_cost:
-            return WmaxsatResult(greedy, len(greedy), False, nodes)
-    selection = frozenset(v for v in range(1, nvars + 1) if best_true >> v & 1)
-    return WmaxsatResult(selection, best_cost, not exhausted, nodes)
+    return WmaxsatResult(_selection(best_true, nvars), best_true.bit_count(), not exhausted, nodes)
 
 
 def greedy_selection(instance: WmaxsatInstance) -> frozenset[int] | None:
@@ -274,13 +281,17 @@ def greedy_selection(instance: WmaxsatInstance) -> frozenset[int] | None:
     clause is unsatisfied.  None when an unsatisfied clause has no
     positive literal left to switch on.
     """
-    clauses, occ = _clause_masks(instance)
-    nvars = instance.num_vars
+    on = _greedy_mask(*_clause_masks(instance), instance.num_vars)
+    return None if on is None else _selection(on, instance.num_vars)
+
+
+def _greedy_mask(clauses: list[tuple[int, int, int]], occ: list[int], nvars: int) -> int | None:
+    """`greedy_selection` as a mask of selector bits, from `_clause_masks`."""
     on = 0
     while True:
         unsat = sum(bit for bit, pos, neg in clauses if not (pos & on or neg & ~on))
         if not unsat:
-            return frozenset(v for v in range(1, nvars + 1) if on >> v & 1)
+            return on
         # A selector that is still off occurs in an unsatisfied clause only positively.
         score, neg_v = max(
             (((occ[u] & unsat).bit_count(), -u) for u in range(1, nvars + 1) if not on >> u & 1), default=(0, 0)
@@ -288,6 +299,10 @@ def greedy_selection(instance: WmaxsatInstance) -> frozenset[int] | None:
         if not score:
             return None
         on |= 1 << -neg_v
+
+
+def _selection(mask: int, nvars: int) -> frozenset[int]:
+    return frozenset(v for v in range(1, nvars + 1) if mask >> v & 1)
 
 
 def _clause_masks(instance: WmaxsatInstance) -> tuple[list[tuple[int, int, int]], list[int]]:

@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import digests_equal, directions, parse_seeds, summarize  # noqa: E402
 
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
@@ -50,6 +51,20 @@ def test_digests_equal():
     assert digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "a")})
     assert not digests_equal({"parent": run(1, 1, 1, "a"), "change": run(1, 1, 1, "b")})
     assert not digests_equal({"parent": run(1, 1, 1, None), "change": run(1, 1, 1, None)})
+
+
+def test_refuses_to_overwrite_a_claim(tmp_path, monkeypatch, capsys):
+    # The output is named from the workload and the seed range, and an
+    # existing file stops the tool first.  The trees have no perfbench, so
+    # the tool could never start a benchmark here either way.
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    for seeds, name in (("5-9", "BENCH_cover-exact-5-9.json"), ("5", "BENCH_cover-exact-5.json")):
+        (tmp_path / name).write_text("claim")
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "cover-exact", "--seeds", seeds])
+        assert stop.value.code == 2
+        assert f"{name} exists" in capsys.readouterr().err
+        assert (tmp_path / name).read_text() == "claim"
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

@@ -140,10 +140,9 @@ class TestCompile:
         assert json.loads(capsys.readouterr().out)["solver_nodes"] == expected
         assert run(["compile", str(src)]) == 0
         assert f"solver nodes: {expected}\n" in capsys.readouterr().out
-        # At budget 1 the quartic search runs out, and the count includes
-        # the node that hit the budget.
+        # At budget 1 a search that runs out has expanded exactly one node.
         at_one = solve(poly, 1)
-        assert at_one.nodes == (1 if at_one.proven_optimal else 2)
+        assert at_one.nodes == 1
         assert run(["compile", str(src), "--ilp-budget", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["solver_nodes"] == at_one.nodes
 

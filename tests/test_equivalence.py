@@ -135,6 +135,7 @@ def test_bitmask_cover_matches_reference():
         for budget in (1, 3, 50, 10**6):
             result = solve_ilp_exact(ilp, budget)
             assert_searches_a_subsequence(result, reference_solve_ilp_exact(ref_ilp, budget))
+            assert result.proven_optimal or result.nodes == budget
             plan = plan_from_cover(sc, result.selection, poly, mode)
             assert plan == reference_plan_from_cover(ref, result.selection, poly, mode)
 
@@ -196,21 +197,25 @@ def wmaxsat_instances():
 
 
 def test_bitmask_wmaxsat_searches_the_reference_tree():
-    # Budgets 1, 3 and 50 stop most searches early; there the greedy
-    # fallback may only improve on the reference's incumbent.
-    improved = 0
-    for instance in wmaxsat_instances():
+    # The greedy upper bound only lowers the threshold, so the search visits
+    # a subsequence of the reference's nodes.  Budgets 1, 3 and 50 stop most
+    # searches early; there the greedy incumbent may only improve on the
+    # reference's.  The last 60 instances have the benchmark's quartic-maxsat
+    # shape: there the bound should save at least 0.4 of the nodes in all.
+    improved = nodes = reference_nodes = 0
+    for i, instance in enumerate(wmaxsat_instances()):
         for budget in (1, 3, 50, 20000):
             result = solve_wmaxsat_exact(instance, budget)
             expected = reference_solve_wmaxsat_exact(instance, budget)
-            assert (result.nodes, result.proven_optimal) == (expected.nodes, expected.proven_optimal)
-            if expected.proven_optimal:
-                assert result == expected
-            else:
-                assert result.cost <= expected.cost
-                assert selection_satisfies(instance, result.selection)
-                improved += result.cost < expected.cost
+            assert_searches_a_subsequence(result, expected)
+            assert selection_satisfies(instance, result.selection)
+            assert result.cost == len(result.selection)
+            assert result.proven_optimal or result.nodes == budget
+            improved += result.cost < expected.cost
+            if i >= 240 and budget == 20000:
+                nodes, reference_nodes = nodes + result.nodes, reference_nodes + expected.nodes
     assert improved
+    assert nodes <= 0.6 * reference_nodes
 
 
 def test_penalty_search_matches_full_brute_force():

@@ -9,11 +9,14 @@ goes first in the first pair, the change in the second, and so on, so that
 a drift of the host's speed does not favour one side.  Each tree runs its
 own ``perfbench/`` against its own ``src/``.
 
-Writes ``BENCH_<workload>.json`` at the root of this repository: every run's end-to-end metrics with its ``reference_ms_p50``,
-wall-time p50, ``.qubo`` digest and ``proven_frac``; for each metric both
-sides' median and q1-q3 and the number of pairs the change wins; both
-trees' git commits and source digests; and nproc.  The file is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
+Writes ``BENCH_<workload>-<A>-<B>.json`` at the root of this repository
+(``BENCH_<workload>-<A>.json`` for one seed), and refuses to start when that
+file exists, so a new claim never overwrites a committed one.  It holds
+every run's end-to-end metrics with its ``reference_ms_p50``, wall-time
+p50, ``.qubo`` digest and ``proven_frac``; for each metric both sides'
+median and q1-q3 and the number of pairs the change wins; both trees' git
+commits and source digests; and nproc.  The file is rewritten after every
+pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -126,13 +129,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="'A-B', inclusive")
     args = parser.parse_args(argv)
     seeds = args.seeds
+    seed_range = f"{seeds[0]}-{seeds[-1]}" if len(seeds) > 1 else f"{seeds[0]}"
+    out = ROOT / f"BENCH_{args.workload}-{seed_range}.json"
+    if out.exists():
+        parser.error(f"{out.name} exists; choose seeds that no committed claim used")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} has no perfbench/run.py")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     better = directions()
-    out = ROOT / f"BENCH_{args.workload}.json"
 
     pairs: list[dict] = []
     for i, seed in enumerate(seeds):
