@@ -23,9 +23,10 @@ copy of s binding z to x_i*x_j.  Two gadget modes are supported:
 
 A `ReductionPlan` records which pair absorbs each cubic term and the penalty
 weights; `apply_plan` hands its ancillas, product terms and deltas to
-`materialize`, which the quartic path shares, to build a `ReducedInstance`.
-This module also owns the `.qubo` text format, which carries the quadratic
-together with the ancilla map needed to interpret it.
+`materialize`, which the quartic path shares.  It builds a `ReducedInstance`:
+the quadratic plus its ancilla definitions, a tuple in slot order.  This
+module also owns the `.qubo` text format, which carries the quadratic
+together with those definitions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Mapping, MutableMapping, Sequence
+from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from puboforge.poly import (
     DegreeError,
@@ -103,50 +104,10 @@ class TripleAncilla:
         return f"triple({t[0]},{t[1]},{t[2]}) via ({self.pair[0]},{self.pair[1]})"
 
 
+# A reduced instance keeps its ancillas as a tuple of these, in slot order;
+# every serialization numbers ancillas after the computational variables in
+# that order, so identical plans always produce identical files.
 AncillaDef = PairAncilla | PairCopyAncilla | TripleAncilla
-
-
-class AncillaRegistry:
-    """Ordered collection of ancilla definitions; slot order is creation order.
-
-    In every serialization ancillas are numbered after the computational
-    variables, in slot order, so identical plans always produce identical
-    files.
-    """
-
-    def __init__(self, defs: Iterable[AncillaDef] = ()) -> None:
-        self._defs: list[AncillaDef] = []
-        self._index: dict[AncillaDef, int] = {}
-        for d in defs:
-            self.add(d)
-
-    def add(self, definition: AncillaDef) -> int:
-        if definition in self._index:
-            raise PlanError(f"duplicate ancilla definition {definition.describe()}")
-        slot = len(self._defs)
-        self._defs.append(definition)
-        self._index[definition] = slot
-        return slot
-
-    def var_for(self, definition: AncillaDef) -> Var:
-        return avar(self._index[definition])
-
-    def definition(self, slot: int) -> AncillaDef:
-        return self._defs[slot]
-
-    def __len__(self) -> int:
-        return len(self._defs)
-
-    def __iter__(self) -> Iterator[AncillaDef]:
-        return iter(self._defs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AncillaRegistry):
-            return NotImplemented
-        return self._defs == other._defs
-
-    def __repr__(self) -> str:
-        return f"AncillaRegistry([{', '.join(d.describe() for d in self._defs)}])"
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +308,12 @@ class ReductionPlan:
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """A quadratic polynomial plus the ancilla map that explains it."""
+    """A quadratic polynomial plus the ancilla map that explains it:
+    ``registry[slot]`` defines ancilla ``avar(slot)``, and no definition
+    appears twice."""
 
     quadratic: Polynomial
-    registry: AncillaRegistry
+    registry: tuple[AncillaDef, ...]
     source_n: int
 
     def __post_init__(self) -> None:
@@ -361,23 +324,17 @@ class ReducedInstance:
         for v in self.quadratic.referenced_ancillas():
             if v.index >= len(self.registry):
                 raise ValueError(f"quadratic references undefined ancilla slot {v.index}")
+        seen: set[AncillaDef] = set()
+        for d in self.registry:
+            if d in seen:
+                raise ValueError(f"duplicate ancilla definition {d.describe()}")
+            seen.add(d)
 
     def total_variables(self) -> int:
         return self.source_n + len(self.registry)
 
     def ancilla_count(self) -> int:
         return len(self.registry)
-
-    def intended_ancilla_bits(self, x: Mapping[Var, int]) -> dict[Var, int]:
-        """The conjunction value each ancilla is meant to take under x."""
-        out: dict[Var, int] = {}
-        for slot, d in enumerate(self.registry):
-            if isinstance(d, (PairAncilla, PairCopyAncilla)):
-                out[avar(slot)] = x[xvar(d.i)] * x[xvar(d.j)]
-            else:
-                i, j, k = d.triple()
-                out[avar(slot)] = x[xvar(i)] * x[xvar(j)] * x[xvar(k)]
-        return out
 
 
 def materialize(
@@ -387,15 +344,15 @@ def materialize(
     that replace its higher terms, and for each ancilla of ``defs`` (in slot
     order) its ``deltas`` entry times s, bound to (x_i, x_j) for a pair or
     pair copy and to (z_base, x_k) for a triple chained through z_base."""
-    registry = AncillaRegistry(defs)
+    slot_of = {d: slot for slot, d in enumerate(defs)}
     acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
     acc.update(products)  # every product names an ancilla, so none is a term of poly
-    for slot, (d, delta) in enumerate(zip(registry, deltas, strict=True)):
+    for slot, (d, delta) in enumerate(zip(defs, deltas, strict=True)):
         if isinstance(d, TripleAncilla):
-            add_penalty(acc, registry.var_for(PairAncilla(*d.pair)), xvar(d.k), avar(slot), delta)
+            add_penalty(acc, avar(slot_of[PairAncilla(*d.pair)]), xvar(d.k), avar(slot), delta)
         else:
             add_penalty(acc, xvar(d.i), xvar(d.j), avar(slot), delta)
-    return ReducedInstance(Polynomial(poly.n, acc), registry, poly.n)
+    return ReducedInstance(Polynomial(poly.n, acc), tuple(defs), poly.n)
 
 
 def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
@@ -424,25 +381,6 @@ def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
                 if beta:
                     products[monomial([z, xvar(k)])] = beta
     return materialize(poly, defs, products, deltas)
-
-
-def max_introduced_coefficient(plan: ReductionPlan, poly: Polynomial) -> int:
-    """Largest |coefficient| among the terms a plan adds or modifies.
-
-    Per pair these are the penalty coefficients (3*delta dominates) and the
-    merged x_i*x_j coefficient (source alpha_ij plus the sum of deltas);
-    the grouped product coefficients are always strictly below 3*delta.
-    """
-    best = 0
-    for pair in plan.pairs():
-        i, j = pair
-        total_delta = 0
-        for m in plan.copies():
-            d = plan.deltas[(pair, m)]
-            best = max(best, 3 * d)
-            total_delta += d
-        best = max(best, abs(poly.pair_coefficient(i, j) + total_delta))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +433,7 @@ def parse_qubo(text: str) -> ReducedInstance:
     n = 0
     acc: dict[Monomial, int] = {}
     defs: dict[int, AncillaDef] = {}
+    seen: set[AncillaDef] = set()
 
     def ints(values: list[str]) -> list[int]:
         try:
@@ -541,18 +480,22 @@ def parse_qubo(text: str) -> ReducedInstance:
                     (copy,) = ints(fields[5:])
                     if copy not in (1, 2, 3):
                         raise ParseError(f"pair copy must be 1..3, got {copy}", lineno)
-                    defs[idx] = PairCopyAncilla(i, j, copy)
+                    d: AncillaDef = PairCopyAncilla(i, j, copy)
                 else:
-                    defs[idx] = PairAncilla(i, j)
+                    d = PairAncilla(i, j)
             elif kind == "triple" and len(fields) == 9 and fields[6] == "via":
                 i, j, k, p, q = ints(fields[3:6] + fields[7:])
                 if not 1 <= i < j < k <= n:
                     raise ParseError(f"triple ({i},{j},{k}) is not sorted within 1..{n}", lineno)
                 if not {p, q} < {i, j, k} or p >= q:
                     raise ParseError(f"via pair ({p},{q}) is not inside the triple", lineno)
-                defs[idx] = TripleAncilla((p, q), k=(({i, j, k} - {p, q}).pop()))
+                d = TripleAncilla((p, q), k=(({i, j, k} - {p, q}).pop()))
             else:
                 raise ParseError(f"malformed ancilla line {line!r}", lineno)
+            if d in seen:
+                raise ParseError(f"duplicate ancilla definition {d.describe()}", lineno)
+            seen.add(d)
+            defs[idx] = d
             continue
         if len(fields) != 3:
             raise ParseError(f"malformed term line {line!r}", lineno)
@@ -573,5 +516,5 @@ def parse_qubo(text: str) -> ReducedInstance:
     missing = [idx for idx in range(n + 1, total + 1) if idx not in defs]
     if missing:
         raise ParseError(f"missing ancilla definitions for indices {missing}")
-    registry = AncillaRegistry(defs[idx] for idx in range(n + 1, total + 1))
+    registry = tuple(defs[idx] for idx in range(n + 1, total + 1))
     return ReducedInstance(Polynomial(n, acc), registry, n)

@@ -12,11 +12,10 @@ gadget reductions (0-based registry slots, owned by the reduction that
 created them).  Computational variables sort before ancillas, which keeps
 every serialization and iteration order deterministic.
 
-This module also owns the ``.pubo`` text format, exhaustive minimization
-(the oracle primitive the rest of the test suite leans on), the
-subset-sum kernel that evaluates a polynomial at every point, and the
-control precision report (max |coefficient| after dividing out the common
-gcd).
+This module also owns the ``.pubo`` text format, the subset-sum kernel
+that turns multilinear coefficients into values at every point (and back),
+which the verifier's enumeration runs on, and the control precision report
+(max |coefficient| after dividing out the common gcd).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 MAX_DEGREE = 4
 DEFAULT_ENUMERATION_CAP = 24
-
-# A device exposing 4 bits of coupler control resolves this many distinct
-# magnitudes; compile summaries quote control precision against it.
-FOUR_BIT_DEVICE_LEVELS = 16
 
 
 class PuboError(Exception):
@@ -120,14 +115,6 @@ class Polynomial:
         self.n = n
         self._terms: dict[Monomial, int] = {m: c for m in sorted(acc) if (c := acc[m]) != 0}
 
-    @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls(n, {})
-
-    @property
-    def terms(self) -> Mapping[Monomial, int]:
-        return self._terms
-
     def coefficient(self, mono: Iterable[Var]) -> int:
         return self._terms.get(monomial(mono), 0)
 
@@ -151,29 +138,6 @@ class Polynomial:
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(self._terms.items())))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"cannot add polynomials over {self.n} and {other.n} variables")
-        acc = dict(self._terms)
-        for m, c in other:
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(self.n, acc)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1) * other
-
-    def __mul__(self, scalar: int) -> "Polynomial":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return Polynomial(self.n, {m: scalar * c for m, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         if not self._terms:
             return f"Polynomial({self.n}, 0)"
@@ -182,11 +146,6 @@ class Polynomial:
             name = "*".join(str(v) for v in m) if m else "1"
             parts.append(f"{c:+d}*{name}")
         return f"Polynomial({self.n}, {' '.join(parts)})"
-
-    def variables(self) -> tuple[Var, ...]:
-        """All n computational variables plus every referenced ancilla, sorted."""
-        anc = {v for m in self._terms for v in m if v.is_ancilla}
-        return tuple(xvar(i) for i in range(1, self.n + 1)) + tuple(sorted(anc))
 
     def referenced_ancillas(self) -> tuple[Var, ...]:
         return tuple(sorted({v for m in self._terms for v in m if v.is_ancilla}))
@@ -312,21 +271,8 @@ def emit_polynomial(poly: Polynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive minimization, control precision
+# Value tables, control precision
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    """Full argmin of a polynomial over its variables.
-
-    ``minimizers`` holds bit tuples aligned with ``variables`` (computational
-    variables first, then referenced ancillas).
-    """
-
-    value: int
-    minimizers: frozenset[tuple[int, ...]]
-    variables: tuple[Var, ...]
 
 
 def subset_sums(table: list[int], n: int, op: Callable[[int, int], int] = operator.add) -> list[int]:
@@ -359,24 +305,6 @@ def value_table(coeffs: Mapping[int, int], n: int) -> list[int]:
     return subset_sums(table, n)
 
 
-def brute_force_minima(poly: Polynomial, cap: int = DEFAULT_ENUMERATION_CAP) -> BruteForceResult:
-    """Minimum value and complete argmin set by exhaustive enumeration.
-
-    The search space is 2**v over all declared computational variables plus
-    referenced ancillas; ``cap`` bounds v to keep run time sane.
-    """
-    variables = poly.variables()
-    v = len(variables)
-    if v > cap:
-        raise CapExceededError(f"{v} variables exceed enumeration cap {cap}")
-    position = {var: i for i, var in enumerate(variables)}
-    table = value_table({sum(1 << position[var] for var in m): c for m, c in poly}, v)
-    best = min(table)
-    argmin = [code for code, total in enumerate(table) if total == best]
-    bits = frozenset(tuple((code >> i) & 1 for i in range(v)) for code in argmin)
-    return BruteForceResult(best, bits, variables)
-
-
 @dataclass(frozen=True)
 class PrecisionReport:
     """Coefficient resolution demanded by a polynomial.
@@ -389,18 +317,14 @@ class PrecisionReport:
     max_abs_coeff: int
     gcd_all: int
     control_precision: int
-    breakdown: tuple[tuple[Monomial, int], ...]
 
 
 def control_precision(poly: Polynomial, include_offset: bool = True) -> PrecisionReport:
     """Control precision report; ``include_offset=False`` drops the constant
     term from the gcd and the maximum."""
-    coeffs = [(m, c) for m, c in poly if m or include_offset]
+    coeffs = [c for m, c in poly if m or include_offset]
     if not coeffs:
         raise ValueError("control precision is undefined for an empty polynomial")
-    g = 0
-    biggest = 0
-    for _, c in coeffs:
-        g = math.gcd(g, c)
-        biggest = max(biggest, abs(c))
-    return PrecisionReport(biggest, g, biggest // g, tuple(coeffs))
+    g = math.gcd(*coeffs)
+    biggest = max(map(abs, coeffs))
+    return PrecisionReport(biggest, g, biggest // g)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from typing import Iterable, Mapping
 
 from puboforge.gadgets import GadgetMode, Pair, ReductionPlan, Triple, delta_for_group
 from puboforge.poly import Polynomial
@@ -41,15 +40,6 @@ def _burden(pos: int, neg: int, alpha: int, beta: int) -> int:
     coefficients sum to pos and neg, on a pair with coefficient beta."""
     delta = delta_for_group((pos, neg, alpha))
     return max(3 * delta, abs(beta + delta))
-
-
-def cost_w(poly: Polynomial, assignments: Mapping[Pair, Iterable[int]], a: Triple, b: Pair) -> int:
-    """Largest coefficient created around b's ancilla if term a joins the
-    terms that ``assignments`` already routes to b."""
-    cubic = poly.cubic_terms()
-    group = [cubic[tuple(sorted(b + (k,)))] for k in assignments.get(b, ())]
-    pos = sum(c for c in group if c > 0)
-    return _burden(pos, sum(group) - pos, cubic[a], poly.pair_coefficient(*b))
 
 
 def greedy_precision_plan(poly: Polynomial, mode: GadgetMode = GadgetMode.SINGLE) -> ReductionPlan:

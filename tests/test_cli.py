@@ -2,7 +2,6 @@
 
 import json
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -285,6 +284,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "line 3" in err
         assert "invalid literal" not in err
+
+    def test_repeated_ancilla_definition_reports_line(self, tmp_path, capsys):
+        src = tmp_path / "t.pubo"
+        src.write_text("p pubo 3\n1 1 2 3\n")
+        bad = tmp_path / "bad.qubo"
+        bad.write_text("p qubo 5 3\n1 1 4\n1 3 5\na 4 pair 1 2\na 5 pair 1 2\n")
+        assert run(["verify", str(src), str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 5: duplicate ancilla definition pair(1,2)\n"
 
 
 class TestBench:

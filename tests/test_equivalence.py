@@ -29,7 +29,6 @@ from puboforge.poly import (
     CapExceededError,
     Polynomial,
     avar,
-    brute_force_minima,
     monomial,
     subset_sums,
     value_table,
@@ -47,7 +46,9 @@ from puboforge.setcover import (
 from puboforge.verify import verify_reduction
 from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, selection_satisfies, solve_wmaxsat_exact
 from util import (
+    brute_force_minima,
     chain_selection,
+    poly_add,
     random_poly,
     random_quartic,
     reference_apply_plan,
@@ -243,7 +244,7 @@ def perturbed(rng, reduced, kind):
     else:
         mono = monomial([avar(rng.randrange(slots))] + rng.choice(([], xs[:1], [avar(rng.randrange(slots))])))
     extra = Polynomial(n, {mono: rng.choice((-2, -1, 1, 2))})
-    return ReducedInstance(reduced.quadratic + extra, reduced.registry, n)
+    return ReducedInstance(poly_add(reduced.quadratic, extra), reduced.registry, n)
 
 
 def underweighted(rng, poly, plan):
@@ -328,7 +329,7 @@ def test_brute_force_minima_against_evaluate():
         n = rng.randint(0, 6)
         poly = random_poly(rng, n, rng.randint(0, 8), max_degree=min(4, n))
         if n and rng.random() < 0.5:
-            poly = poly + Polynomial(n, {(avar(rng.randrange(3)), xvar(rng.randint(1, n))): rng.choice(SMALL)})
+            poly = poly_add(poly, Polynomial(n, {(avar(rng.randrange(3)), xvar(rng.randint(1, n))): rng.choice(SMALL)}))
         res = brute_force_minima(poly)
         values = {
             bits: poly.evaluate(dict(zip(res.variables, bits)))

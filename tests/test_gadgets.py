@@ -9,13 +9,13 @@ from puboforge.gadgets import (
     GadgetMode,
     PairAncilla,
     PlanError,
+    ReducedInstance,
     ReductionPlan,
     apply_plan,
     beta_split,
     delta_for_group,
     emit_qubo,
     exhaustive_penalty_search,
-    max_introduced_coefficient,
     parse_qubo,
     penalty_s,
     verify_penalty_minimality,
@@ -23,7 +23,7 @@ from puboforge.gadgets import (
 from puboforge.poly import ParseError, Polynomial, avar, xvar
 from util import (
     computational_assignments,
-    min_over_ancilla,
+    max_introduced_coefficient,
     pointwise_matches,
     poly_of,
     random_cubic_poly,
@@ -135,7 +135,7 @@ class TestSingleTerm:
             (xvar(1), z): -6,
             (xvar(2), z): -6,
         }
-        assert dict(reduced.terms) == {
+        assert dict(reduced) == {
             tuple(sorted(k)): v for k, v in expected.items()
         }
 
@@ -344,3 +344,10 @@ class TestQuboFormat:
     def test_out_of_range_index(self):
         with pytest.raises(ParseError):
             parse_qubo("p qubo 2 2\n1 1 3\n")
+
+
+def test_reduced_instance_rejects_a_repeated_definition():
+    quadratic = poly_of(2, {(1, 2): 1})
+    ReducedInstance(quadratic, (PairAncilla(1, 2),), 2)
+    with pytest.raises(ValueError, match=r"duplicate ancilla definition pair\(1,2\)"):
+        ReducedInstance(quadratic, (PairAncilla(1, 2), PairAncilla(1, 2)), 2)

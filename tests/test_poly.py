@@ -1,6 +1,5 @@
 """Polynomial core: representation, .pubo round trips, evaluation oracles."""
 
-import math
 import random
 
 import pytest
@@ -8,22 +7,16 @@ import pytest
 from puboforge.poly import (
     CapExceededError,
     DegreeError,
-    FOUR_BIT_DEVICE_LEVELS,
     ParseError,
     Polynomial,
     avar,
-    brute_force_minima,
     control_precision,
     emit_polynomial,
     monomial,
     parse_polynomial,
     xvar,
 )
-
-
-def poly_of(n, entries):
-    """Build a polynomial from {index-tuple: coeff} over computational vars."""
-    return Polynomial(n, {monomial(xvar(i) for i in idxs): c for idxs, c in entries.items()})
+from util import brute_force_minima, poly_add, poly_of, poly_scale
 
 
 def random_poly(rng, n, nterms, max_degree=4, allow_constant=True):
@@ -81,8 +74,8 @@ def test_computational_vars_sort_before_ancillas():
 def test_add_and_scale():
     p = poly_of(2, {(1,): 2, (1, 2): 1})
     q = poly_of(2, {(1,): -2, (2,): 5})
-    assert (p + q) == poly_of(2, {(1, 2): 1, (2,): 5})
-    assert 3 * p == poly_of(2, {(1,): 6, (1, 2): 3})
+    assert poly_add(p, q) == poly_of(2, {(1, 2): 1, (2,): 5})
+    assert poly_scale(3, p) == poly_of(2, {(1,): 6, (1, 2): 3})
 
 
 # -- evaluation --------------------------------------------------------------
@@ -107,7 +100,7 @@ def test_evaluate_is_linear():
         p = random_poly(rng, n, rng.randint(1, 8))
         q = random_poly(rng, n, rng.randint(1, 8))
         x = {xvar(i): rng.randint(0, 1) for i in range(1, n + 1)}
-        assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+        assert poly_add(p, q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
 
 
 # -- .pubo parsing and emission ----------------------------------------------
@@ -231,7 +224,7 @@ def test_precision_scale_invariant():
         if not p:
             continue
         k = rng.choice([2, 3, 5, 7])
-        assert control_precision(k * p).control_precision == control_precision(p).control_precision
+        assert control_precision(poly_scale(k, p)).control_precision == control_precision(p).control_precision
 
 
 def test_precision_offset_flag():
@@ -242,8 +235,4 @@ def test_precision_offset_flag():
 
 def test_precision_empty_rejected():
     with pytest.raises(ValueError):
-        control_precision(Polynomial.zero(3))
-
-
-def test_four_bit_documentation_constant():
-    assert FOUR_BIT_DEVICE_LEVELS == 16
+        control_precision(Polynomial(3, {}))

@@ -2,14 +2,14 @@
 
 import random
 
-from puboforge.gadgets import GadgetMode, apply_plan, max_introduced_coefficient
-from puboforge.precision import arbitrary_plan, cost_w, greedy_precision_plan
-from util import pointwise_matches, poly_of, random_cubic_poly
+from puboforge.gadgets import GadgetMode, apply_plan
+from puboforge.precision import arbitrary_plan, greedy_precision_plan
+from util import GreedyState, cost_w, max_introduced_coefficient, pointwise_matches, poly_of, random_cubic_poly
 
 
 def state_for(poly, assignments=None):
-    """cost_w's leading arguments: the polynomial and the routing so far."""
-    return poly, {pair: set(ks) for pair, ks in (assignments or {}).items()}
+    """cost_w's first argument: the polynomial and the routing so far."""
+    return GreedyState(poly, set(), {pair: set(ks) for pair, ks in (assignments or {}).items()})
 
 
 class TestCostW:
@@ -17,31 +17,31 @@ class TestCostW:
         # delta for a lone +5 term is 6; the penalty coefficient 3*6 dominates
         p = poly_of(3, {(1, 2, 3): 5})
         state = state_for(p)
-        assert cost_w(*state, (1, 2, 3), (1, 2)) == 18
+        assert cost_w(state, (1, 2, 3), (1, 2)) == 18
 
     def test_prior_group_and_pair_coefficient(self):
         p = poly_of(4, {(1, 2, 3): -3, (1, 2, 4): -2, (1, 2): 1})
         state = state_for(p, {(1, 2): {3}})
         # group becomes {-3, -2}: delta 6; max(18, |1 + 6|) = 18
-        assert cost_w(*state, (1, 2, 4), (1, 2)) == 18
+        assert cost_w(state, (1, 2, 4), (1, 2)) == 18
 
     def test_mixed_signs_cancel(self):
         p = poly_of(4, {(1, 2, 3): -4, (1, 2, 4): 4})
         state = state_for(p, {(1, 2): {3}})
         # group {-4, 4}: delta 5; max(15, |0 + 5|) = 15
-        assert cost_w(*state, (1, 2, 4), (1, 2)) == 15
+        assert cost_w(state, (1, 2, 4), (1, 2)) == 15
 
     def test_duplicate_coefficients_both_count(self):
         p = poly_of(4, {(1, 2, 3): 3, (1, 2, 4): 3})
         state = state_for(p, {(1, 2): {3}})
         # group {3, 3}: delta 7, not the 4 a set of values would give
-        assert cost_w(*state, (1, 2, 4), (1, 2)) == 21
+        assert cost_w(state, (1, 2, 4), (1, 2)) == 21
 
     def test_large_pair_coefficient_can_dominate(self):
         p = poly_of(3, {(1, 2, 3): 1, (1, 2): 20})
         state = state_for(p)
         # delta 2: max(6, |20 + 2|) = 22
-        assert cost_w(*state, (1, 2, 3), (1, 2)) == 22
+        assert cost_w(state, (1, 2, 3), (1, 2)) == 22
 
 
 class TestGreedyPlanner:

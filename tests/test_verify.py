@@ -10,8 +10,8 @@ from puboforge.gadgets import (
 from puboforge.poly import CapExceededError, Polynomial, monomial, xvar
 from puboforge.setcover import BudgetExhaustedError, verify_saturation
 from puboforge.verify import verify_reduction
-from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
-from util import poly_of
+from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat
+from util import poly_add, poly_of
 
 
 def plan_with_delta(poly, delta):
@@ -59,7 +59,7 @@ class TestVerifyReduction:
         plan = ReductionPlan.from_assignment(p, {(1, 2): {3}}, GadgetMode.SINGLE)
         reduced = apply_plan(p, plan)
         shifted = type(reduced)(
-            reduced.quadratic + Polynomial(p.n, {(): 1}),
+            poly_add(reduced.quadratic, Polynomial(p.n, {(): 1})),
             reduced.registry,
             reduced.source_n,
         )
@@ -73,7 +73,7 @@ class TestVerifyReduction:
         plan = ReductionPlan.from_assignment(p, {(1, 2): {3}}, GadgetMode.SINGLE)
         reduced = apply_plan(p, plan)
         biased = type(reduced)(
-            reduced.quadratic + Polynomial(p.n, {monomial([xvar(1)]): -5}),
+            poly_add(reduced.quadratic, Polynomial(p.n, {monomial([xvar(1)]): -5})),
             reduced.registry,
             reduced.source_n,
         )

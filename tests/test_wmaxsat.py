@@ -290,7 +290,7 @@ class TestApply:
             # 4 * (3 z1 + z0 x4 - 2 z0 z1 - 2 x4 z1)
             (z1,): 12, (z0, x4): 4, (z0, z1): -8, (x4, z1): -8,
         }
-        assert dict(reduced.quadratic.terms) == {monomial(m): c for m, c in expected.items()}
+        assert dict(reduced.quadratic) == {monomial(m): c for m, c in expected.items()}
         assert verify_reduction(p, reduced).ok
         for _, x in computational_assignments(5):
             assert strictly_dominant(reduced, x)
@@ -315,7 +315,7 @@ class TestApply:
                 assert strictly_dominant(reduced, x), (p, sorted(selection), x)
             chains += any(isinstance(d, TripleAncilla) for d in reduced.registry)
             pair_products += any(
-                len(m) == 2 and all(v.is_ancilla and isinstance(reduced.registry.definition(v.index), PairAncilla) for v in m)
+                len(m) == 2 and all(v.is_ancilla and isinstance(reduced.registry[v.index], PairAncilla) for v in m)
                 for m, _ in reduced.quadratic
             )
             checked += 1

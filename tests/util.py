@@ -1,5 +1,6 @@
-"""Shared test helpers: instance builders, brute-force oracles, and slow
-reference implementations.
+"""Shared test helpers: polynomial algebra and plan measures the library
+does not need, instance builders, brute-force oracles, and slow reference
+implementations.
 
 The oracles here use only term data plus exhaustive enumeration,
 independent of the reduction code paths and of the verifier under test.
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from puboforge.gadgets import (
-    AncillaRegistry,
+    AncillaDef,
     GadgetMode,
     Pair,
     PairAncilla,
@@ -33,6 +34,7 @@ from puboforge.poly import (
     avar,
     control_precision,
     monomial,
+    value_table,
     xvar,
 )
 from puboforge.setcover import IlpResult
@@ -127,7 +129,7 @@ def pointwise_matches(original, reduced):
 def strictly_dominant(reduced, x):
     """At fixed x: intended ancilla bits are the unique minimizer."""
     table = ancilla_table(reduced, x)
-    code = sum(bit << v.index for v, bit in reduced.intended_ancilla_bits(x).items())
+    code = sum(bit << v.index for v, bit in intended_ancilla_bits(reduced, x).items())
     return all(value > table[code] for other, value in enumerate(table) if other != code)
 
 
@@ -151,6 +153,89 @@ def chain_selection(rng, poly, instance):
     for term in poly.cubic_terms():
         chosen.add(instance.index_of(rng.choice(list(combinations(term, 2)))))
     return frozenset(chosen)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial algebra, exhaustive minimization and plan measures that only the
+# tests use; the compiler itself never needs them.
+# ---------------------------------------------------------------------------
+
+
+def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p + q over the same declared variables."""
+    if p.n != q.n:
+        raise ValueError(f"cannot add polynomials over {p.n} and {q.n} variables")
+    acc = dict(p)
+    for m, c in q:
+        acc[m] = acc.get(m, 0) + c
+    return Polynomial(p.n, acc)
+
+
+def poly_scale(k: int, p: Polynomial) -> Polynomial:
+    """k * p for an integer k."""
+    return Polynomial(p.n, {m: k * c for m, c in p})
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    """Full argmin of a polynomial over its variables.
+
+    ``minimizers`` holds bit tuples aligned with ``variables`` (computational
+    variables first, then referenced ancillas).
+    """
+
+    value: int
+    minimizers: frozenset[tuple[int, ...]]
+    variables: tuple[Var, ...]
+
+
+def brute_force_minima(poly: Polynomial, cap: int = DEFAULT_ENUMERATION_CAP) -> BruteForceResult:
+    """Minimum value and complete argmin set by exhaustive enumeration.
+
+    The search space is 2**v over all declared computational variables plus
+    referenced ancillas; ``cap`` bounds v to keep run time sane.
+    """
+    vs = tuple(xvar(i) for i in range(1, poly.n + 1)) + poly.referenced_ancillas()
+    v = len(vs)
+    if v > cap:
+        raise CapExceededError(f"{v} variables exceed enumeration cap {cap}")
+    position = {var: i for i, var in enumerate(vs)}
+    table = value_table({sum(1 << position[var] for var in m): c for m, c in poly}, v)
+    best = min(table)
+    argmin = [code for code, total in enumerate(table) if total == best]
+    bits = frozenset(tuple((code >> i) & 1 for i in range(v)) for code in argmin)
+    return BruteForceResult(best, bits, vs)
+
+
+def max_introduced_coefficient(plan: ReductionPlan, poly: Polynomial) -> int:
+    """Largest |coefficient| among the terms a plan adds or modifies.
+
+    Per pair these are the penalty coefficients (3*delta dominates) and the
+    merged x_i*x_j coefficient (source alpha_ij plus the sum of deltas);
+    the grouped product coefficients are always strictly below 3*delta.
+    """
+    best = 0
+    for pair in plan.pairs():
+        i, j = pair
+        total_delta = 0
+        for m in plan.copies():
+            d = plan.deltas[(pair, m)]
+            best = max(best, 3 * d)
+            total_delta += d
+        best = max(best, abs(poly.pair_coefficient(i, j) + total_delta))
+    return best
+
+
+def intended_ancilla_bits(reduced: ReducedInstance, x) -> dict[Var, int]:
+    """The conjunction value each ancilla of ``reduced`` is meant to take under x."""
+    out: dict[Var, int] = {}
+    for slot, d in enumerate(reduced.registry):
+        if isinstance(d, (PairAncilla, PairCopyAncilla)):
+            out[avar(slot)] = x[xvar(d.i)] * x[xvar(d.j)]
+        else:
+            i, j, k = d.triple()
+            out[avar(slot)] = x[xvar(i)] * x[xvar(j)] * x[xvar(k)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +264,16 @@ class GreedyState:
         ]
 
 
-def reference_cost_w(state: GreedyState, a: Triple, b: Pair) -> int:
-    """Largest coefficient created around b's ancilla if term a joins it."""
-    theta = state.group_coefficients(b) + [state.cubic[a]]
-    delta = delta_for_group(theta)
+def cost_w(state: GreedyState, a: Triple, b: Pair) -> int:
+    """Largest coefficient created around b's ancilla if term a joins the
+    terms that the state already routes to b."""
+    delta = delta_for_group(state.group_coefficients(b) + [state.cubic[a]])
     return max(3 * delta, abs(state.poly.pair_coefficient(*b) + delta))
 
 
 def _best_pair(state: GreedyState, a: Triple) -> tuple[Pair, int]:
     """Cheapest pair for a; ties prefer rarer pairs, then lexicographic order."""
-    scored = [(reference_cost_w(state, a, b), b) for b in combinations(a, 2)]
+    scored = [(cost_w(state, a, b), b) for b in combinations(a, 2)]
     low = min(w for w, _ in scored)
     tied = [b for w, b in scored if w == low]
     if len(tied) > 1:
@@ -234,26 +319,32 @@ def reference_reduce_min_greedy(poly: Polynomial, mode: GadgetMode = GadgetMode.
     return ReductionPlan.from_assignment(poly, assignments, mode)
 
 
+def new_ancilla(defs: list[AncillaDef], definition: AncillaDef) -> Var:
+    """Append a definition and return the ancilla variable of its slot."""
+    defs.append(definition)
+    return avar(len(defs) - 1)
+
+
 def reference_apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
     """apply_plan as the sum of one scaled `penalty_s` polynomial per ancilla."""
     plan.validate(poly)
     cubic = poly.cubic_terms()
     acc: dict[Monomial, int] = {m: c for m, c in poly if len(m) < 3}
-    registry = AncillaRegistry()
-    penalties = Polynomial.zero(poly.n)
+    defs: list[AncillaDef] = []
+    penalties = Polynomial(poly.n, {})
     for pair in plan.pairs():
         i, j = pair
         ks = sorted(plan.assignments[pair])
         if plan.mode is GadgetMode.SINGLE:
-            z = avar(registry.add(PairAncilla(i, j)))
+            z = new_ancilla(defs, PairAncilla(i, j))
             for k in ks:
                 alpha = cubic[tuple(sorted((i, j, k)))]
                 m = monomial([z, xvar(k)])
                 acc[m] = acc.get(m, 0) + alpha
             key = (pair, 1)
-            penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
+            penalties = poly_add(penalties, poly_scale(plan.deltas[key], penalty_s(xvar(i), xvar(j), z, poly.n)))
         else:
-            copies = [avar(registry.add(PairCopyAncilla(i, j, m))) for m in (1, 2, 3)]
+            copies = [new_ancilla(defs, PairCopyAncilla(i, j, m)) for m in (1, 2, 3)]
             for k in ks:
                 betas = beta_split(cubic[tuple(sorted((i, j, k)))])
                 for z, beta in zip(copies, betas):
@@ -262,9 +353,9 @@ def reference_apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstan
                         acc[m] = acc.get(m, 0) + beta
             for m_index, z in enumerate(copies, start=1):
                 key = (pair, m_index)
-                penalties = penalties + plan.deltas[key] * penalty_s(xvar(i), xvar(j), z, poly.n)
-    quadratic = Polynomial(poly.n, acc) + penalties
-    return ReducedInstance(quadratic, registry, poly.n)
+                penalties = poly_add(penalties, poly_scale(plan.deltas[key], penalty_s(xvar(i), xvar(j), z, poly.n)))
+    quadratic = poly_add(Polynomial(poly.n, acc), penalties)
+    return ReducedInstance(quadratic, tuple(defs), poly.n)
 
 
 def reference_apply_quartic_plan(
@@ -279,10 +370,10 @@ def reference_apply_quartic_plan(
     pair_load: dict[Pair, list[int]] = {p: [] for p in selected_pairs}
     triple_load: dict[Triple, list[int]] = {t: [] for t in chained}
 
-    registry = AncillaRegistry()
-    pair_var = {p: avar(registry.add(PairAncilla(*p))) for p in selected_pairs}
+    defs: list[AncillaDef] = []
+    pair_var = {p: new_ancilla(defs, PairAncilla(*p)) for p in selected_pairs}
     triple_var = {
-        t: avar(registry.add(TripleAncilla(via[t], (set(t) - set(via[t])).pop())))
+        t: new_ancilla(defs, TripleAncilla(via[t], (set(t) - set(via[t])).pop()))
         for t in chained
     }
 
@@ -312,18 +403,18 @@ def reference_apply_quartic_plan(
         triple_load[t].append(alpha)
         pair_load[via[t]].append(alpha)
 
-    penalties = Polynomial.zero(poly.n)
+    penalties = Polynomial(poly.n, {})
     for p in selected_pairs:
         delta = delta_for_group(pair_load[p] or [0])
-        penalties = penalties + delta * penalty_s(xvar(p[0]), xvar(p[1]), pair_var[p], poly.n)
+        penalties = poly_add(penalties, poly_scale(delta, penalty_s(xvar(p[0]), xvar(p[1]), pair_var[p], poly.n)))
     for t in chained:
         delta = delta_for_group(triple_load[t] or [0])
         extra = (set(t) - set(via[t])).pop()
-        penalties = penalties + delta * penalty_s(
-            pair_var[via[t]], xvar(extra), triple_var[t], poly.n
+        penalties = poly_add(
+            penalties, poly_scale(delta, penalty_s(pair_var[via[t]], xvar(extra), triple_var[t], poly.n))
         )
-    quadratic = Polynomial(poly.n, acc) + penalties
-    return ReducedInstance(quadratic, registry, poly.n)
+    quadratic = poly_add(Polynomial(poly.n, acc), penalties)
+    return ReducedInstance(quadratic, tuple(defs), poly.n)
 
 
 # ---------------------------------------------------------------------------
