@@ -356,6 +356,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A budget or cap flag's value: a non-negative integer."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="puboforge",
@@ -368,10 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("-o", "--output", help=".qubo output path (default: input with .qubo suffix)")
     p_compile.add_argument("--strategy", choices=STRATEGIES, default="min-ancilla")
     p_compile.add_argument("--gadget", choices=[m.value for m in GadgetMode], default="single")
-    p_compile.add_argument("--ilp-budget", type=int, default=10**6, help="solver node budget")
+    p_compile.add_argument("--ilp-budget", type=_count, default=10**6, help="solver node budget")
     p_compile.add_argument("--seed", type=int, default=0, help="ignored: compile output does not depend on a seed")
     p_compile.add_argument("--verify", action="store_true", help="check the reduction against the enumeration oracle")
-    p_compile.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="verification variable cap")
+    p_compile.add_argument("--cap", type=_count, default=DEFAULT_ENUMERATION_CAP, help="verification variable cap")
     p_compile.add_argument("--emit-lp", metavar="PATH", help="also write the covering ILP in LP format (cubic input)")
     p_compile.add_argument("--emit-wcnf", metavar="PATH", help="also write the WMAXSAT encoding (degree-4 input)")
     p_compile.add_argument("--wmaxsat-model", metavar="FILE", help="use an external solver model (signed literals) instead of the internal solver")
@@ -382,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a .qubo reduction against its .pubo source")
     p_verify.add_argument("input", help=".pubo input path")
     p_verify.add_argument("qubo", help=".qubo reduction path")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration variable cap")
+    p_verify.add_argument("--cap", type=_count, default=DEFAULT_ENUMERATION_CAP, help="enumeration variable cap")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

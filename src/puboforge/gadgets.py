@@ -314,13 +314,10 @@ class ReducedInstance:
 
     quadratic: Polynomial
     registry: tuple[AncillaDef, ...]
-    source_n: int
 
     def __post_init__(self) -> None:
         if self.quadratic.degree() > 2:
             raise ValueError("reduced instance must be quadratic")
-        if self.quadratic.n != self.source_n:
-            raise ValueError("quadratic must be declared over the source variables")
         for v in self.quadratic.referenced_ancillas():
             if v.index >= len(self.registry):
                 raise ValueError(f"quadratic references undefined ancilla slot {v.index}")
@@ -331,7 +328,7 @@ class ReducedInstance:
             seen.add(d)
 
     def total_variables(self) -> int:
-        return self.source_n + len(self.registry)
+        return self.quadratic.n + len(self.registry)
 
     def ancilla_count(self) -> int:
         return len(self.registry)
@@ -352,7 +349,7 @@ def materialize(
             add_penalty(acc, avar(slot_of[PairAncilla(*d.pair)]), xvar(d.k), avar(slot), delta)
         else:
             add_penalty(acc, xvar(d.i), xvar(d.j), avar(slot), delta)
-    return ReducedInstance(Polynomial(poly.n, acc), tuple(defs), poly.n)
+    return ReducedInstance(Polynomial(poly.n, acc), tuple(defs))
 
 
 def apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstance:
@@ -402,7 +399,7 @@ def _line_index(v: Var, n: int) -> int:
 
 def emit_qubo(reduced: ReducedInstance) -> str:
     """Serialize a reduced instance to canonical ``.qubo`` text."""
-    n = reduced.source_n
+    n = reduced.quadratic.n
     lines = [f"p qubo {reduced.total_variables()} {n}"]
     offset = reduced.quadratic.constant()
     if offset:
@@ -517,4 +514,4 @@ def parse_qubo(text: str) -> ReducedInstance:
     if missing:
         raise ParseError(f"missing ancilla definitions for indices {missing}")
     registry = tuple(defs[idx] for idx in range(n + 1, total + 1))
-    return ReducedInstance(Polynomial(n, acc), registry, n)
+    return ReducedInstance(Polynomial(n, acc), registry)

@@ -125,24 +125,35 @@ def _greedy_cover(columns: Sequence[int], nrows: int) -> list[tuple[int, int]]:
     return picks
 
 
-def cover_bound(uncovered: int, banned: int, gains: list[int], row_cands: list[int], row_cols: list[list[int]]) -> tuple[int, int]:
+def cover_bound(uncovered: int, single: int, dead: int, limit: int, gains: list[int], columns: Sequence[int], row_cols: list[list[int]]) -> tuple[int, int]:
     """The module docstring's lower bound on the columns needed for the nonzero
-    ``uncovered`` rows without the ``banned`` ones (above the row count if a
-    row has none left), and the first uncovered row's one column left, else -1.
-    Row i's columns are the mask ``row_cands[i]`` and the indices ``row_cols[i]``;
-    ``gains[j]`` counts column j's uncovered rows, and is <= 0 if j is banned."""
-    taken = packing = reach = 0
-    forced, allowed, gain = -1, ~banned, gains.__getitem__
-    for i in _bits(uncovered):
-        cands = row_cands[i] & allowed
-        if cands == 0:
-            return len(row_cands) + 1, -1
-        if forced < 0 and cands & (cands - 1) == 0:
-            forced = cands.bit_length() - 1
-        if cands & taken == 0:
-            taken |= cands
-            packing += 1
-            reach += max(map(gain, row_cols[i]))  # banned gains are <= 0
+    ``uncovered`` rows (above the row count if one is in ``dead``, left with no
+    allowed column), and the allowed column of the lowest uncovered row in
+    ``single`` (one left), else -1.  Row i's columns are ``row_cols[i]``, and
+    ``gains[j]`` counts column j's uncovered rows, or is <= 0 once j is banned:
+    an uncovered row's allowed columns are those of positive gain.  A packed
+    row blocks the rows of its allowed columns, so only packed rows are
+    visited; the packing stops when it reaches ``limit``, so the value is
+    >= ``limit`` exactly when the full bound is, and equal to it below."""
+    if dead & uncovered:
+        return len(row_cols) + 1, -1
+    packing = reach = 0
+    avail = uncovered
+    while avail:
+        packing += 1
+        if packing >= limit:
+            return packing, -1
+        best = 0
+        for j in row_cols[(avail & -avail).bit_length() - 1]:
+            g = gains[j]
+            if g > 0:
+                avail &= ~columns[j]
+                if g > best:
+                    best = g
+        reach += best
+    forced, single = -1, single & uncovered
+    if single:
+        forced = next(j for j in row_cols[(single & -single).bit_length() - 1] if gains[j] > 0)
     return packing + -(-max(0, uncovered.bit_count() - reach) // max(gains)), forced
 
 
@@ -151,20 +162,22 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
 
     Depth first from the greedy incumbent: force the first uncovered row's
     last column, else take, then ban, the column of largest gain (ties to
-    the lowest index).  Each node carries the gains; a take lowers those of
-    each newly covered row's columns, a ban zeroes the column's own.  As
-    `cover_bound` is never below the max(ceil(|U| / cmax), packing) bound
+    the lowest index).  Each node carries the gains and the row masks of
+    `cover_bound`; a take lowers the gains of each newly covered row's
+    columns, a ban zeroes the column's own and recounts its uncovered rows.
+    As `cover_bound` is never below the max(ceil(|U| / cmax), packing) bound
     this search pruned with before, it visits a subsequence of that search's
     nodes and finds the same incumbents: a proven result is the same
-    selection.  Exhausting ``node_budget`` (counting expanded nodes only)
+    selection.  The masks and the stop at the incumbent's limit give the
+    same forced columns and prunes as a rescan of every row, so the tree is
+    the same.  Exhausting ``node_budget`` (counting expanded nodes only)
     returns the best incumbent (never worse than greedy) with
     ``proven_optimal=False``."""
     nrows, cover_masks = ilp.nrows, ilp.columns
-    row_cands = [0] * nrows
+    row_cols: list[list[int]] = [[] for _ in range(nrows)]
     for j, mask in enumerate(cover_masks):
         for i in _bits(mask):
-            row_cands[i] |= 1 << j
-    row_cols = [_bits(cands) for cands in row_cands]
+            row_cols[i].append(j)
 
     greedy = _greedy_cover(cover_masks, nrows)
     best_mask, best_cost = sum(1 << j for j, _ in greedy), len(greedy)
@@ -177,7 +190,15 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
                 gains[k] -= 1
         return uncovered & ~cover_masks[j]
 
-    def dfs(uncovered: int, banned: int, gains: list[int], chosen_mask: int, nchosen: int) -> None:
+    def recount(gains: list[int], rows: int, single: int, dead: int) -> tuple[int, int]:
+        """``single`` and ``dead`` with the uncovered ``rows`` recounted."""
+        for i in _bits(rows):
+            left, bit = sum(gains[j] > 0 for j in row_cols[i]), 1 << i
+            single = single | bit if left == 1 else single & ~bit
+            dead = dead | bit if left == 0 else dead
+        return single, dead
+
+    def dfs(uncovered: int, single: int, dead: int, gains: list[int], chosen_mask: int, nchosen: int) -> None:
         nonlocal best_mask, best_cost, nodes, exhausted
         if nodes >= node_budget:
             exhausted = True
@@ -188,7 +209,7 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
                 if nchosen < best_cost:
                     best_cost, best_mask = nchosen, chosen_mask
                 return
-            bound, forced = cover_bound(uncovered, banned, gains, row_cands, row_cols)
+            bound, forced = cover_bound(uncovered, single, dead, best_cost - nchosen, gains, cover_masks, row_cols)
             if nchosen + bound >= best_cost:
                 return
             if forced < 0:
@@ -200,11 +221,12 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
         # Branch on the candidate covering the most uncovered rows.
         best_j = gains.index(max(gains))
         child = gains.copy()
-        dfs(take(child, uncovered, best_j), banned, child, chosen_mask | (1 << best_j), nchosen + 1)
+        dfs(take(child, uncovered, best_j), single, dead, child, chosen_mask | (1 << best_j), nchosen + 1)
         gains[best_j] = 0
-        dfs(uncovered, banned | (1 << best_j), gains, chosen_mask, nchosen)
+        dfs(uncovered, *recount(gains, cover_masks[best_j] & uncovered, single, dead), gains, chosen_mask, nchosen)
 
-    dfs((1 << nrows) - 1, 0, [mask.bit_count() for mask in cover_masks], 0, 0)
+    full, gains = (1 << nrows) - 1, [mask.bit_count() for mask in cover_masks]
+    dfs(full, *recount(gains, full, 0, 0), gains, 0, 0)
     return IlpResult(tuple(best_mask >> j & 1 for j in range(len(cover_masks))), best_cost, not exhausted, nodes)
 
 

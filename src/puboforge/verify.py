@@ -131,9 +131,9 @@ def verify_reduction(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
     """Pointwise and ground-state checks of a reduction, exact for every x."""
-    if original.n != reduced.source_n:
+    if original.n != reduced.quadratic.n:
         raise ValueError(
-            f"variable count mismatch: original has {original.n}, reduced declares {reduced.source_n}"
+            f"variable count mismatch: original has {original.n}, reduced declares {reduced.quadratic.n}"
         )
     total_vars = reduced.total_variables()
     if total_vars > cap:

@@ -19,8 +19,8 @@ per candidate ancilla:
 
 The hard weight is |variables| + 1 so no soft trade-off can pay for a
 hard violation.  `solve_wmaxsat_exact` is a small branch-and-bound over
-the selectors.  Its node state is two ints, the masks of selectors set
-true and set false, and each clause is a (positive, negative) mask pair;
+the selectors.  Its node state is the masks of selectors set true and
+false and of satisfied clauses; each clause is a (positive, negative) pair;
 unit propagation visits only the clauses of the selectors just assigned
 (occurrence lists, as in Chaff).  The search starts with an upper bound,
 `greedy_selection`, as its incumbent and a threshold one above its cost:
@@ -164,20 +164,22 @@ class WmaxsatResult:
 def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> WmaxsatResult:
     """Minimize the number of selected ancillas subject to the hard clauses.
 
-    Branch and bound over bitmasks.  A node is two ints, the selectors set
-    true and those set false (bit v is selector v); a hard clause is a
-    (positive, negative) mask pair, and each selector knows the mask of
-    clauses it occurs in.  Unit propagation runs a worklist of clause bits:
-    the root checks every clause, a child only the clauses of the selector
-    it branched on and of each selector propagation forces.  The closure
-    does not depend on the order, so the search prunes the same nodes as a
-    full rescan would.  One pass over the clauses then gives the bound and
-    the unsatisfied clauses.  The bound adds, to the selections already
-    made, a greedy packing of unsatisfied clauses over disjoint free
-    variables; clauses with a free negative literal cost nothing (switch
-    that selector off) and are skipped.  Branching takes the free selector
-    in the most unsatisfied clauses (ties to the lowest index), or the
-    lowest free selector when none is unsatisfied, trying False first.
+    Branch and bound over bitmasks.  A node is three ints: the selectors
+    set true, those set false (bit v is selector v), and the clauses these
+    satisfy.  A hard clause is a (positive, negative) mask pair, and each
+    selector knows the clauses it occurs in positively and negatively.
+    Unit propagation runs a worklist of clause bits: the root checks every
+    clause, a child only the clauses of the selector it branched on and of
+    each selector propagation forces.  The closure does not depend on the
+    order, so the search prunes the same nodes as a full rescan would.  The
+    bound adds, to the selections already made, a greedy packing of the
+    unsatisfied clauses, in clause order, over disjoint free variables;
+    clauses with a free negative literal cost nothing (switch that selector
+    off) and are skipped.  It stops once it reaches the incumbent, which
+    prunes exactly when the full bound would, so the tree is unchanged.
+    Branching takes the free selector in the most unsatisfied clauses (ties
+    to the lowest index), or the lowest free selector when none is
+    unsatisfied, trying False first.
 
     Upper bound: before the first node, `greedy_selection` becomes the
     incumbent when it is cheaper than every selector on, and only leaves
@@ -196,51 +198,57 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
     nvars = instance.num_vars
     if nvars == 0:
         return WmaxsatResult(frozenset(), 0, True, 0)
-    clauses, occ = _clause_masks(instance)
+    clauses, pos_occ, neg_occ = _clause_masks(instance)
+    occ = [p | n for p, n in zip(pos_occ, neg_occ)]
     all_vars = (1 << nvars + 1) - 2
-    greedy = _greedy_mask(clauses, occ, nvars)
+    greedy = _greedy_mask(clauses, pos_occ, nvars)
     best_true = all_vars if greedy is None else greedy
     best_cost = min(nvars, best_true.bit_count() + 1)
-    nodes = 0
-    exhausted = False
+    nodes, exhausted = 0, False
 
-    def propagate(true: int, false: int, work: int) -> tuple[int, int] | None:
+    def propagate(true: int, false: int, sat: int, work: int) -> tuple[int, int, int] | None:
         """Force unit clauses reachable from the work bits; None on conflict."""
         while work:
             low = work & -work
             work ^= low
-            _, pos, neg = clauses[low.bit_length() - 1]
-            if pos & true or neg & false:
+            if low & sat:
                 continue
+            _, pos, neg = clauses[low.bit_length() - 1]
             free_pos, free_neg = pos & ~false, neg & ~true
             if free_pos and not free_neg and not free_pos & (free_pos - 1):
                 true |= free_pos
-                work |= occ[free_pos.bit_length() - 1]
+                v = free_pos.bit_length() - 1
+                work |= occ[v]
+                sat |= pos_occ[v]
             elif free_neg and not free_pos and not free_neg & (free_neg - 1):
                 false |= free_neg
-                work |= occ[free_neg.bit_length() - 1]
+                v = free_neg.bit_length() - 1
+                work |= occ[v]
+                sat |= neg_occ[v]
             elif not (free_pos or free_neg):
                 return None
-        return true, false
+        return true, false, sat
 
-    def dfs(true: int, false: int, work: int) -> None:
+    def dfs(true: int, false: int, sat: int, work: int) -> None:
         nonlocal best_true, best_cost, nodes, exhausted
         if nodes >= node_budget:
             exhausted = True
             return
         nodes += 1
-        state = propagate(true, false, work)
+        state = propagate(true, false, sat, work)
         if state is None:
             return
-        true, false = state
-        trues = true.bit_count()
-        used = unsat = touched = 0
-        bound = trues
+        true, false, sat = state
+        bound = trues = true.bit_count()
+        if bound >= best_cost:
+            return
+        unsat = rest = all_clauses & ~sat
+        used = touched = 0
         not_true, not_false = ~true, ~false
-        for bit, pos, neg in clauses:
-            if pos & true or neg & false:
-                continue
-            unsat |= bit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            _, pos, neg = clauses[low.bit_length() - 1]
             touched |= pos | neg
             if neg & not_true:
                 continue
@@ -248,8 +256,8 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
             if not free_pos & used:
                 used |= free_pos
                 bound += 1
-        if bound >= best_cost:
-            return
+                if bound >= best_cost:
+                    return
         free = all_vars & ~(true | false)
         if unsat:
             candidates = touched & free
@@ -266,10 +274,11 @@ def solve_wmaxsat_exact(instance: WmaxsatInstance, node_budget: int = 10**6) -> 
         else:
             best_true, best_cost = true, trues
             return
-        dfs(true, false | 1 << v, occ[v])
-        dfs(true | 1 << v, false, occ[v])
+        dfs(true, false | 1 << v, sat | neg_occ[v], occ[v])
+        dfs(true | 1 << v, false, sat | pos_occ[v], occ[v])
 
-    dfs(0, 0, (1 << len(clauses)) - 1)
+    all_clauses = (1 << len(clauses)) - 1
+    dfs(0, 0, 0, all_clauses)
     return WmaxsatResult(_selection(best_true, nvars), best_true.bit_count(), not exhausted, nodes)
 
 
@@ -281,11 +290,12 @@ def greedy_selection(instance: WmaxsatInstance) -> frozenset[int] | None:
     clause is unsatisfied.  None when an unsatisfied clause has no
     positive literal left to switch on.
     """
-    on = _greedy_mask(*_clause_masks(instance), instance.num_vars)
+    clauses, pos_occ, _ = _clause_masks(instance)
+    on = _greedy_mask(clauses, pos_occ, instance.num_vars)
     return None if on is None else _selection(on, instance.num_vars)
 
 
-def _greedy_mask(clauses: list[tuple[int, int, int]], occ: list[int], nvars: int) -> int | None:
+def _greedy_mask(clauses: list[tuple[int, int, int]], pos_occ: list[int], nvars: int) -> int | None:
     """`greedy_selection` as a mask of selector bits, from `_clause_masks`."""
     on = 0
     while True:
@@ -294,7 +304,7 @@ def _greedy_mask(clauses: list[tuple[int, int, int]], occ: list[int], nvars: int
             return on
         # A selector that is still off occurs in an unsatisfied clause only positively.
         score, neg_v = max(
-            (((occ[u] & unsat).bit_count(), -u) for u in range(1, nvars + 1) if not on >> u & 1), default=(0, 0)
+            (((pos_occ[u] & unsat).bit_count(), -u) for u in range(1, nvars + 1) if not on >> u & 1), default=(0, 0)
         )
         if not score:
             return None
@@ -305,21 +315,24 @@ def _selection(mask: int, nvars: int) -> frozenset[int]:
     return frozenset(v for v in range(1, nvars + 1) if mask >> v & 1)
 
 
-def _clause_masks(instance: WmaxsatInstance) -> tuple[list[tuple[int, int, int]], list[int]]:
+def _clause_masks(instance: WmaxsatInstance) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
     """Each hard clause c as (1 << c, positive selector mask, negative
-    selector mask), and for each selector the mask of the clauses it occurs in."""
+    selector mask), and for each selector the masks of the clauses it occurs
+    in positively and negatively."""
     clauses: list[tuple[int, int, int]] = []
-    occ = [0] * (instance.num_vars + 1)
+    pos_occ = [0] * (instance.num_vars + 1)
+    neg_occ = pos_occ.copy()
     for c, clause in enumerate(instance.hard):
         pos = neg = 0
         for lit in clause:
             if lit > 0:
                 pos |= 1 << lit
+                pos_occ[lit] |= 1 << c
             else:
                 neg |= 1 << -lit
-            occ[abs(lit)] |= 1 << c
+                neg_occ[-lit] |= 1 << c
         clauses.append((1 << c, pos, neg))
-    return clauses, occ
+    return clauses, pos_occ, neg_occ
 
 
 def selection_satisfies(instance: WmaxsatInstance, selection: frozenset[int]) -> bool:

@@ -216,6 +216,25 @@ class TestCompile:
         with pytest.raises(SystemExit):
             run(["compile", str(worked), "--strategy", "anneal"])
 
+    @pytest.mark.parametrize(
+        "flags", [("--ilp-budget", "-5"), ("--verify", "--cap", "-1"), ("--ilp-budget", "five")], ids=["budget", "cap", "text"]
+    )
+    def test_negative_budget_or_cap_is_a_bad_flag(self, worked, tmp_path, capsys, flags):
+        out = tmp_path / "r.qubo"
+        with pytest.raises(SystemExit) as exc:
+            run(["compile", str(worked), "-o", str(out), *flags])
+        assert exc.value.code == 2
+        assert flags[-1] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_budget_and_cap_are_accepted(self, worked, tmp_path, capsys):
+        # Budget 0 returns the greedy incumbent unproven; cap 0 is below
+        # every reduction's variable count.
+        out = tmp_path / "r.qubo"
+        assert run(["compile", str(worked), "-o", str(out), "--ilp-budget", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["proven_optimal"] is False
+        assert run(["compile", str(worked), "-o", str(out), "--verify", "--cap", "0"]) == 3
+
 
 class TestVerify:
     def _compile(self, worked, tmp_path):
@@ -249,6 +268,13 @@ class TestVerify:
         assert "verdict: fail" in stdout
         assert "counterexample:" in stdout
         assert "x1=" in stdout
+
+    def test_negative_cap_is_a_bad_flag(self, worked, tmp_path, capsys):
+        out = self._compile(worked, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", str(worked), str(out), "--cap", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
 
     def test_thirty_variables_hit_the_cap(self, tmp_path, capsys):
         src = tmp_path / "big.pubo"

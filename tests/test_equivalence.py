@@ -9,6 +9,7 @@ the burden w, in the occurrence counts and in the ReduceMin pair counts
 common, so the tie-breaks are exercised too.
 """
 
+import hashlib
 import math
 import operator
 import random
@@ -141,16 +142,59 @@ def test_bitmask_cover_matches_reference():
             assert plan == reference_plan_from_cover(ref, result.selection, poly, mode)
 
 
-def test_cover_search_prunes_benchmark_shaped_covers():
-    # The shape of the benchmark's cover-exact inputs: 60 cubic terms over
-    # 13 variables, coefficients +-1..8.  The packing-plus-reach bound
-    # should visit at most 0.6 of the reference's nodes in all.
+COEFFS = [c for c in range(-8, 9) if c]
+
+
+def cover_exact_polys():
+    """The shape of the benchmark's cover-exact inputs: 60 cubic terms over
+    13 variables, coefficients +-1..8."""
     rng = random.Random("equivalence:cover-exact")
-    coeffs = [c for c in range(-8, 9) if c]
-    nodes = reference_nodes = 0
     for _ in range(100):
         triples = rng.sample(list(combinations(range(1, 14), 3)), 60)
-        poly = Polynomial(13, {monomial([xvar(v) for v in t]): rng.choice(coeffs) for t in triples})
+        yield Polynomial(13, {monomial([xvar(v) for v in t]): rng.choice(COEFFS) for t in triples})
+
+
+def quartic_maxsat_polys():
+    """The benchmark's quartic-maxsat inputs for seeds 4242 and 777, indices
+    0-99, drawn as perfbench/workloads.py draws them: n=8, each pair with
+    probability 0.3, then 4 cubic and 4 quartic terms, coefficients +-1..8."""
+    for seed in (4242, 777):
+        for index in range(100):
+            rng = random.Random(f"perfbench:quartic-maxsat:{seed}:{index}")
+            terms = {p: rng.choice(COEFFS) for p in combinations(range(1, 9), 2) if rng.random() < 0.3}
+            for degree in (3, 4):
+                for t in sorted(rng.sample(list(combinations(range(1, 9), degree)), 4)):
+                    terms[t] = rng.choice(COEFFS)
+            yield Polynomial(8, {monomial([xvar(v) for v in t]): c for t, c in terms.items()})
+
+
+def search_digest(results):
+    """sha256 of every result's (selection, cost, proven, nodes), in order."""
+    rows = [(tuple(sorted(r.selection)) if isinstance(r.selection, frozenset) else r.selection,
+             r.cost, r.proven_optimal, r.nodes) for r in results]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Both digests were taken from the solvers before their node state carried
+# row and clause masks: a change to either search tree (a node more or less,
+# another incumbent) changes them.
+def test_cover_search_tree_is_pinned():
+    results = [solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly))) for poly in cover_exact_polys()]
+    assert sum(r.nodes for r in results) == 49106
+    assert search_digest(results) == "1a2cf850e5476f168bf58750ca56203881b805af9a9002261dbe35dcf43f5aba"
+
+
+def test_wmaxsat_search_tree_is_pinned():
+    results = [solve_wmaxsat_exact(build_wmaxsat(poly), 20000) for poly in quartic_maxsat_polys()]
+    assert sum(r.nodes for r in results) == 48500
+    assert search_digest(results) == "4cefa95f5a71142ba5426caaf46f8363411a294b8ce82992f2e38b7f385cc656"
+
+
+def test_cover_search_prunes_benchmark_shaped_covers():
+    # The packing-plus-reach bound should visit at most 0.6 of the
+    # reference's nodes in all.
+    nodes = reference_nodes = 0
+    for poly in cover_exact_polys():
         result = solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly)))
         expected = reference_solve_ilp_exact(reference_set_cover_to_ilp(reference_build_set_cover(poly)))
         assert expected.proven_optimal
@@ -235,7 +279,7 @@ def test_penalty_search_matches_full_brute_force():
 
 def perturbed(rng, reduced, kind):
     """The reduction plus one extra term: a constant, an x term or an ancilla term."""
-    n, slots = reduced.source_n, len(reduced.registry)
+    n, slots = reduced.quadratic.n, len(reduced.registry)
     xs = [xvar(i) for i in rng.sample(range(1, n + 1), rng.randint(1, min(2, n)))]
     if kind == "shift":
         mono = ()
@@ -244,7 +288,7 @@ def perturbed(rng, reduced, kind):
     else:
         mono = monomial([avar(rng.randrange(slots))] + rng.choice(([], xs[:1], [avar(rng.randrange(slots))])))
     extra = Polynomial(n, {mono: rng.choice((-2, -1, 1, 2))})
-    return ReducedInstance(poly_add(reduced.quadratic, extra), reduced.registry, n)
+    return ReducedInstance(poly_add(reduced.quadratic, extra), reduced.registry)
 
 
 def underweighted(rng, poly, plan):

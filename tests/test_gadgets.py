@@ -317,7 +317,7 @@ class TestQuboFormat:
         back = parse_qubo(text)
         assert back.quadratic == reduced.quadratic
         assert back.registry == reduced.registry
-        assert back.source_n == reduced.source_n
+        assert back.quadratic.n == reduced.quadratic.n
         assert emit_qubo(back) == text
 
     def test_roundtrip_single(self):
@@ -348,6 +348,6 @@ class TestQuboFormat:
 
 def test_reduced_instance_rejects_a_repeated_definition():
     quadratic = poly_of(2, {(1, 2): 1})
-    ReducedInstance(quadratic, (PairAncilla(1, 2),), 2)
+    ReducedInstance(quadratic, (PairAncilla(1, 2),))
     with pytest.raises(ValueError, match=r"duplicate ancilla definition pair\(1,2\)"):
-        ReducedInstance(quadratic, (PairAncilla(1, 2), PairAncilla(1, 2)), 2)
+        ReducedInstance(quadratic, (PairAncilla(1, 2), PairAncilla(1, 2)))

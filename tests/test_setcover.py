@@ -158,14 +158,18 @@ class TestCoverBound:
 
     def states(self):
         rng = random.Random("cover-bound")
+        # The search keeps `single` and `dead` exact on uncovered rows only;
+        # covered rows carry stale bits, which the bound must ignore.
+        stale = random.Random("cover-bound:stale")
         for _ in range(250):
             n = rng.randint(4, 7)
             lam = rng.randint(2, min(12, len(list(combinations(range(n), 3)))))
             sc = build_set_cover(random_cubic_poly(rng, n, lam))
             if len(sc.candidates) > 18:
                 continue
+            nrows = len(sc.universe)
             for _ in range(6):
-                uncovered = rng.randrange(1, 1 << len(sc.universe))
+                uncovered = rng.randrange(1, 1 << nrows)
                 banned = sum(1 << j for j in range(len(sc.covers)) if rng.random() < 0.35)
                 # A banned column's gain is 0 when it is banned, and falls by
                 # one for each of its rows covered after that.
@@ -174,14 +178,19 @@ class TestCoverBound:
                     else (mask & uncovered).bit_count()
                     for j, mask in enumerate(sc.covers)
                 ]
-                yield sc.covers, len(sc.universe), uncovered, banned, gains
+                allowed = [sum(1 << j for j, mask in enumerate(sc.covers) if mask >> i & 1 and not banned >> j & 1) for i in range(nrows)]
+                single = sum(1 << i for i, cands in enumerate(allowed) if cands.bit_count() == 1)
+                dead = sum(1 << i for i, cands in enumerate(allowed) if not cands)
+                single |= stale.getrandbits(nrows) & ~uncovered
+                dead |= stale.getrandbits(nrows) & ~uncovered
+                yield sc.covers, nrows, uncovered, banned, single, dead, gains
 
     def test_bound_is_valid_and_never_weaker_than_the_old_one(self):
         tight = clipped = pruned = 0
-        for columns, nrows, uncovered, banned, gains in self.states():
-            row_cols = [tuple(j for j, mask in enumerate(columns) if mask >> i & 1) for i in range(nrows)]
+        for columns, nrows, uncovered, banned, single, dead, gains in self.states():
+            row_cols = [[j for j, mask in enumerate(columns) if mask >> i & 1] for i in range(nrows)]
             row_cands = [sum(1 << j for j in cols) for cols in row_cols]
-            bound, forced = cover_bound(uncovered, banned, gains, row_cands, row_cols)
+            bound, forced = cover_bound(uncovered, single, dead, nrows + 2, gains, columns, row_cols)
             minimum = residual_cover_minimum(columns, uncovered, banned)
             if minimum is None:
                 assert bound > nrows
@@ -201,9 +210,19 @@ class TestCoverBound:
                     taken, packing = taken | cands, packing + 1
                     reach += max((columns[j] & uncovered).bit_count() for j in row_cols[i] if cands >> j & 1)
             assert max(-(-uncovered.bit_count() // cmax), packing) <= bound <= minimum
+            assert bound == packing + -(-max(0, uncovered.bit_count() - reach) // cmax)
             assert forced == (singles[0] if singles else -1)
             tight += bound == minimum
             clipped += reach > uncovered.bit_count()
+            # The packing stops once it reaches the limit: the value is then
+            # the limit, and below the limit it is the full bound.
+            for limit in range(1, bound + 2):
+                early = cover_bound(uncovered, single, dead, limit, gains, columns, row_cols)
+                assert (early[0] >= limit) == (bound >= limit)
+                if bound < limit:
+                    assert early == (bound, forced)
+                else:
+                    assert early[0] == (limit if packing >= limit else bound)
         # Enough tight, clipped and uncoverable states that a bound one too
         # high, a dropped clip or a missed prune fails above.
         assert tight > 1000 and clipped > 100 and pruned > 100

@@ -61,7 +61,6 @@ class TestVerifyReduction:
         shifted = type(reduced)(
             poly_add(reduced.quadratic, Polynomial(p.n, {(): 1})),
             reduced.registry,
-            reduced.source_n,
         )
         report = verify_reduction(p, shifted)
         assert not report.pointwise_ok
@@ -75,7 +74,6 @@ class TestVerifyReduction:
         biased = type(reduced)(
             poly_add(reduced.quadratic, Polynomial(p.n, {monomial([xvar(1)]): -5})),
             reduced.registry,
-            reduced.source_n,
         )
         report = verify_reduction(p, biased)
         assert not report.pointwise_ok
@@ -94,7 +92,7 @@ class TestVerifyReduction:
         plan = ReductionPlan.from_assignment(p, {(1, 2): {3}}, GadgetMode.SINGLE)
         reduced = apply_plan(p, plan)
         other = poly_of(4, {(1, 2, 3): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable count mismatch: original has 4, reduced declares 3"):
             verify_reduction(other, reduced)
 
     def test_cap_enforced(self):

@@ -355,7 +355,7 @@ def reference_apply_plan(poly: Polynomial, plan: ReductionPlan) -> ReducedInstan
                 key = (pair, m_index)
                 penalties = poly_add(penalties, poly_scale(plan.deltas[key], penalty_s(xvar(i), xvar(j), z, poly.n)))
     quadratic = poly_add(Polynomial(poly.n, acc), penalties)
-    return ReducedInstance(quadratic, tuple(defs), poly.n)
+    return ReducedInstance(quadratic, tuple(defs))
 
 
 def reference_apply_quartic_plan(
@@ -414,7 +414,7 @@ def reference_apply_quartic_plan(
             penalties, poly_scale(delta, penalty_s(pair_var[via[t]], xvar(extra), triple_var[t], poly.n))
         )
     quadratic = poly_add(Polynomial(poly.n, acc), penalties)
-    return ReducedInstance(quadratic, tuple(defs), poly.n)
+    return ReducedInstance(quadratic, tuple(defs))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,7 @@ def reference_min_over_ancilla_table(reduced: ReducedInstance) -> list[int]:
     Exact joint minimization via connected components of the ancilla
     interaction graph.
     """
-    n = reduced.source_n
+    n = reduced.quadratic.n
     comp_terms: list[tuple[int, int]] = []
     anc_terms: list[tuple[int, int, tuple[int, ...]]] = []
     for m, c in reduced.quadratic:
@@ -530,9 +530,9 @@ def reference_verify_reduction(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
     """Pointwise and ground-state checks of a reduction, by enumeration."""
-    if original.n != reduced.source_n:
+    if original.n != reduced.quadratic.n:
         raise ValueError(
-            f"variable count mismatch: original has {original.n}, reduced declares {reduced.source_n}"
+            f"variable count mismatch: original has {original.n}, reduced declares {reduced.quadratic.n}"
         )
     total_vars = reduced.total_variables()
     if total_vars > cap:
