@@ -37,7 +37,6 @@ from puboforge.setcover import (
     build_set_cover,
     plan_from_cover,
     reduce_min_greedy,
-    set_cover_to_ilp,
     solve_ilp_exact,
 )
 from puboforge.verify import verify_reduction
@@ -130,7 +129,7 @@ def _plan_for(
     """Build the strategy's plan; the flag reports proven optimality."""
     if strategy == "ilp":
         sc = build_set_cover(poly)
-        result = solve_ilp_exact(set_cover_to_ilp(sc))
+        result = solve_ilp_exact(sc)
         return plan_from_cover(sc, result.selection, poly, mode), result.proven_optimal
     if strategy == "reduce-min":
         return reduce_min_greedy(poly, mode), False

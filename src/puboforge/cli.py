@@ -41,7 +41,6 @@ from puboforge.setcover import (
     emit_lp,
     plan_from_cover,
     reduce_min_greedy,
-    set_cover_to_ilp,
     solve_ilp_exact,
 )
 from puboforge.verify import verify_reduction
@@ -109,7 +108,7 @@ def _cubic_pipeline(poly: Polynomial, args: argparse.Namespace):
     mode = GadgetMode(args.gadget)
     if args.strategy == "min-ancilla":
         sc = build_set_cover(poly)
-        result = solve_ilp_exact(set_cover_to_ilp(sc), args.ilp_budget)
+        result = solve_ilp_exact(sc, args.ilp_budget)
         plan = plan_from_cover(sc, result.selection, poly, mode)
         return apply_plan(poly, plan), result.proven_optimal, result.nodes
     if args.strategy == "reduce-min":
@@ -228,18 +227,23 @@ def _load_config_file(path: str) -> dict:
             raise PuboError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key in {"n", "instances", "seed", "coeff_min", "coeff_max"}:
-            settings[key] = int(value)
-        elif key == "lambdas":
-            settings[key] = _parse_lambdas(value)
-        elif key == "experiment":
-            if value not in ("ancilla", "precision"):
-                raise PuboError(f"{path}:{lineno}: unknown experiment {value!r}")
-            settings[key] = value
-        elif key == "quadratic_layer":
-            settings[key] = value.lower() in ("1", "true", "yes")
-        else:
-            raise PuboError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in {"n", "instances", "seed", "coeff_min", "coeff_max"}:
+                settings[key] = int(value)
+            elif key == "lambdas":
+                settings[key] = _parse_lambdas(value)
+            elif key == "experiment":
+                if value not in ("ancilla", "precision"):
+                    raise PuboError(f"unknown experiment {value!r}")
+                settings[key] = value
+            elif key == "quadratic_layer":
+                if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise PuboError(f"quadratic_layer must be true/false/yes/no/1/0, got {value!r}")
+                settings[key] = value.lower() in ("1", "true", "yes")
+            else:
+                raise PuboError(f"unknown key {key!r}")
+        except (PuboError, ValueError) as exc:
+            raise PuboError(f"{path}:{lineno}: {exc}") from None
     return settings
 
 

@@ -56,14 +56,6 @@ class SetCoverInstance:
 
 
 @dataclass(frozen=True)
-class IlpInstance:
-    """0-1 cover ILP: the fewest column masks covering rows 0..nrows-1."""
-
-    columns: tuple[int, ...]
-    nrows: int
-
-
-@dataclass(frozen=True)
 class IlpResult:
     selection: tuple[int, ...]
     cost: int
@@ -94,9 +86,11 @@ def build_set_cover(poly: Polynomial) -> SetCoverInstance:
     return SetCoverInstance(universe, pairs, tuple(masks[p] for p in pairs))
 
 
-def set_cover_to_ilp(sc: SetCoverInstance) -> IlpInstance:
-    """0-1 ILP form of a cover instance."""
-    return IlpInstance(sc.covers, len(sc.universe))
+def set_cover_to_ilp(sc: SetCoverInstance) -> SetCoverInstance:
+    """The cover itself: its masks and row count already are the 0-1 ILP
+    that `solve_ilp_exact` takes.  Kept so callers written as
+    ``solve_ilp_exact(set_cover_to_ilp(sc))`` keep working."""
+    return sc
 
 
 def _greedy_cover(columns: Sequence[int], nrows: int) -> list[tuple[int, int]]:
@@ -157,7 +151,7 @@ def cover_bound(uncovered: int, single: int, dead: int, limit: int, gains: list[
     return packing + -(-max(0, uncovered.bit_count() - reach) // max(gains)), forced
 
 
-def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
+def solve_ilp_exact(sc: SetCoverInstance, node_budget: int = 10**6) -> IlpResult:
     """Exact branch-and-bound for the cover ILP.
 
     Depth first from the greedy incumbent: force the first uncovered row's
@@ -173,7 +167,7 @@ def solve_ilp_exact(ilp: IlpInstance, node_budget: int = 10**6) -> IlpResult:
     the same.  Exhausting ``node_budget`` (counting expanded nodes only)
     returns the best incumbent (never worse than greedy) with
     ``proven_optimal=False``."""
-    nrows, cover_masks = ilp.nrows, ilp.columns
+    nrows, cover_masks = len(sc.universe), sc.covers
     row_cols: list[list[int]] = [[] for _ in range(nrows)]
     for j, mask in enumerate(cover_masks):
         for i in _bits(mask):
@@ -304,7 +298,7 @@ def verify_saturation(n: int, node_budget: int = 10**6) -> bool:
         monomial(xvar(i) for i in t): 1 for t in combinations(range(1, n + 1), 3)
     }
     poly = Polynomial(n, terms)
-    result = solve_ilp_exact(set_cover_to_ilp(build_set_cover(poly)), node_budget)
+    result = solve_ilp_exact(build_set_cover(poly), node_budget)
     if not result.proven_optimal:
         raise BudgetExhaustedError(
             f"node budget {node_budget} exhausted before proving the n={n} optimum"

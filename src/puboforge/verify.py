@@ -7,17 +7,21 @@ the original value (the pointwise check), and the projection of the reduced
 argmin set onto the computational variables must equal the original argmin
 set (the ground-state check).
 
-Minimizing over ancillas is exact joint minimization: ancillas are split
-into connected components of the "shares a quadratic term" graph, and each
-component is enumerated exhaustively over its own ancillas and the x
-variables its terms touch.  Components are the right unit because chained
-ancillas (a triple ancilla and the pair ancilla it builds on) interact
-through their penalty terms and must be minimized together, while unrelated
-ancillas cannot influence each other.
+Minimizing over ancillas eliminates them one at a time (the "basic
+algorithm" of Hammer, Rosenberg & Rudeanu, 1963; Dechter's bucket
+elimination, Artif. Intell. 113, 1999, generalizes it).  Split g into the
+terms that contain an ancilla z, its bucket, and the rest.  The rest does
+not contain z, so min over z of (bucket + rest) equals (min over z of the
+bucket) + rest.  The bucket's minimum is a polynomial over its other
+variables; pooled back with the rest, it leaves a function without z whose
+minimum over the remaining ancillas is the same.  Each step is exact in
+any order, so the order (the smallest bucket next) only sets the cost: a
+bucket is tabulated over its own variables, never over a whole chain of
+ancillas at once.
 
 A pseudo-Boolean function has exactly one multilinear polynomial, so
 f(x) = min_z g(x, z) holds at every x exactly when both sides have the same
-coefficients.  Each component's minimum is turned back into coefficients by
+coefficients.  Each bucket's minimum is turned back into coefficients by
 the inverse subset-sum transform, and a passing check compares two
 coefficient dicts without building any table over all 2**n assignments.
 Only when the coefficients differ are both sides tabulated over every x to
@@ -72,57 +76,40 @@ def _computational_coefficients(poly: Polynomial) -> dict[int, int]:
 
 
 def _min_over_ancilla_coefficients(reduced: ReducedInstance) -> dict[int, int]:
-    """Coefficients of x -> min over ancilla assignments of the reduced value.
+    """Nonzero coefficients of x -> min over ancilla assignments of the
+    reduced value, keyed by x bitmask, eliminating one ancilla at a time."""
+    pool: dict[Monomial, int] = {}
+    # Each ancilla's monomials, so a bucket is found without scanning the
+    # pool; a monomial since cancelled or eliminated is skipped by `in pool`.
+    touching: dict[Var, set[Monomial]] = {}
 
-    Exact joint minimization via connected components of the ancilla
-    interaction graph, each tabulated over its ancillas and x-neighbourhood.
-    """
-    coeffs: dict[int, int] = {}
-    anc_terms: list[tuple[Monomial, int, Var]] = []
-    # Union-find over ancillas that co-occur in a term.
-    parent: dict[Var, Var] = {}
+    def add(m: Monomial, c: int) -> None:
+        if c := c + pool.pop(m, 0):
+            pool[m] = c
+            for v in m:
+                if v.is_ancilla:
+                    touching.setdefault(v, set()).add(m)
 
-    def find(a: Var) -> Var:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def scope(z: Var) -> set[Var]:
+        return {v for m in touching[z] if m in pool for v in m}
 
     for m, c in reduced.quadratic:
-        slots = [v for v in m if v.is_ancilla]
-        if not slots:
-            coeffs[_x_mask(m)] = c
-            continue
-        anc_terms.append((m, c, slots[0]))
-        for s in slots:
-            parent.setdefault(s, s)
-        if len(slots) == 2:
-            ra, rb = find(slots[0]), find(slots[1])
-            if ra != rb:
-                parent[ra] = rb
-
-    components: dict[Var, list[tuple[Monomial, int]]] = {}
-    for m, c, slot in anc_terms:
-        components.setdefault(find(slot), []).append((m, c))
-    for terms in components.values():
-        # Computational variables sort first: they take the low local bits.
-        local = sorted({v for m, _ in terms for v in m})
-        xs = [v for v in local if not v.is_ancilla]
-        position = {v: i for i, v in enumerate(local)}
-        table = [0] * (1 << len(local))
-        for m, c in terms:
-            table[sum(1 << position[v] for v in m)] += c
-        subset_sums(table, len(local))
-        size = 1 << len(xs)
-        best = table[:size]
-        for start in range(size, len(table), size):
-            best = list(map(min, best, table[start : start + size]))
-        subset_sums(best, len(xs), operator.sub)
+        add(m, c)
+    while touching:
+        z = min(touching, key=lambda a: (len(scope(a)), a))
+        local = sorted(scope(z) - {z})
+        # z takes the top bit: the table's halves are its z=0 and z=1 values.
+        position = {v: i for i, v in enumerate(local + [z])}
+        table = [0] * (2 << len(local))
+        for m in touching.pop(z) & pool.keys():
+            table[sum(1 << position[v] for v in m)] += pool.pop(m)
+        subset_sums(table, len(local) + 1)
+        half = 1 << len(local)
+        best = subset_sums(list(map(min, table[:half], table[half:])), len(local), operator.sub)
         for code, c in enumerate(best):
             if c:
-                mask = _x_mask(tuple(v for i, v in enumerate(xs) if code >> i & 1))
-                coeffs[mask] = coeffs.get(mask, 0) + c
-    return coeffs
+                add(tuple(v for i, v in enumerate(local) if code >> i & 1), c)
+    return {_x_mask(m): c for m, c in pool.items()}
 
 
 def verify_reduction(
@@ -140,7 +127,7 @@ def verify_reduction(
         raise CapExceededError(f"{total_vars} total variables exceed enumeration cap {cap}")
 
     original_coeffs = _computational_coefficients(original)
-    reduced_coeffs = {m: c for m, c in _min_over_ancilla_coefficients(reduced).items() if c}
+    reduced_coeffs = _min_over_ancilla_coefficients(reduced)
 
     counterexample: dict[Var, int] | None = None
     pointwise_ok = ground_state_ok = original_coeffs == reduced_coeffs

@@ -2,6 +2,7 @@
 checks, and the committed BENCH_*.json files it wrote."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,6 +66,29 @@ def test_refuses_to_overwrite_a_claim(tmp_path, monkeypatch, capsys):
         assert stop.value.code == 2
         assert f"{name} exists" in capsys.readouterr().err
         assert (tmp_path / name).read_text() == "claim"
+
+
+def test_run_once_records_its_wall_time(tmp_path, monkeypatch):
+    results = tmp_path / ".perfbench" / "results"
+    results.mkdir(parents=True)
+    saved = {"env": {"commit": "abc", "nproc": 2}, "info": {"reference_ms_p50": 11.0, "operations": 40}}
+    (results / "cover-exact-seed7-trace0.json").write_text(json.dumps(saved))
+    last = {"correct": True, "attempted": 40, "failed": 0, "metrics": {"ok_frac": {"value": 1.0}}}
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout="progress\n" + json.dumps(last) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "perf_counter", iter([10.0, 32.5]).__next__)
+    run = bench_pairs.run_once(tmp_path, "cover-exact", 7, 20)
+    assert calls == [([sys.executable, "perfbench/run.py", "--workload", "cover-exact", "--seed", "7",
+                       "--seconds", "20", "--trace", "0"], tmp_path)]
+    assert run["wall_s"] == 22.5
+    assert run["metrics"] == {"ok_frac": 1.0}
+    assert (run["commit"], run["reference_ms_p50"], run["operations"]) == ("abc", 11.0, 40)
+    assert "wall_s" not in summarize([{"parent": run, "change": run}], directions())
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

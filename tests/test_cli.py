@@ -368,6 +368,13 @@ class TestBench:
         cfg.write_text("walltime=yes\n")
         assert run(["bench", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["n = abc", "lambdas = 3,x", "quadratic_layer = maybe"])
+    def test_config_file_bad_value_names_its_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"instances=1\n{line}\n")
+        assert run(["bench", "--config", str(cfg), "--n", "5", "--lambdas", "2"]) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n=6\nlambdas=2\ninstances=2\n")

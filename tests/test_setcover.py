@@ -10,7 +10,7 @@ import pytest
 from puboforge.gadgets import GadgetMode, PlanError, apply_plan
 from puboforge.poly import PuboError, parse_polynomial
 from puboforge.setcover import (
-    IlpInstance,
+    SetCoverInstance,
     build_set_cover,
     cover_bound,
     emit_lp,
@@ -56,8 +56,7 @@ class TestCoverConstruction:
 
     def test_each_term_covered_by_its_three_pairs(self):
         sc = build_set_cover(WORKED)
-        ilp = set_cover_to_ilp(sc)
-        assert (ilp.columns, ilp.nrows) == (sc.covers, 3)
+        assert set_cover_to_ilp(sc) is sc
         for i, t in enumerate(sc.universe):
             owners = [p for p, mask in zip(sc.candidates, sc.covers) if mask >> i & 1]
             assert owners == list(combinations(t, 2))
@@ -126,7 +125,7 @@ class TestExactIlp:
 
     def test_uncoverable_row_rejected(self):
         with pytest.raises(PuboError, match="uncoverable row"):
-            solve_ilp_exact(IlpInstance((0b01, 0b01), 2))
+            solve_ilp_exact(SetCoverInstance(((1, 2, 3), (4, 5, 6)), ((1, 2), (1, 3)), (0b01, 0b01)))
 
     def test_incomplete_selection_names_first_uncovered_term(self):
         sc = build_set_cover(WORKED)

@@ -1,16 +1,21 @@
 """Oracle checks: pointwise equality, ground-state projection, saturation."""
 
+import operator
+import random
+from itertools import combinations
+
 import pytest
 
+import puboforge.verify
 from puboforge.gadgets import (
     GadgetMode,
     ReductionPlan,
     apply_plan,
 )
-from puboforge.poly import CapExceededError, Polynomial, monomial, xvar
+from puboforge.poly import CapExceededError, Polynomial, monomial, subset_sums, xvar
 from puboforge.setcover import BudgetExhaustedError, verify_saturation
 from puboforge.verify import verify_reduction
-from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat
+from puboforge.wmaxsat import apply_quartic_plan, build_wmaxsat, solve_wmaxsat_exact
 from util import poly_add, poly_of
 
 
@@ -102,6 +107,50 @@ class TestVerifyReduction:
         assert verify_reduction(p, reduced, cap=24).ok
         with pytest.raises(CapExceededError):
             verify_reduction(p, reduced, cap=23)
+
+
+COEFFS = [c for c in range(-8, 9) if c]
+
+
+def quartic_outputs(n, cubic, quartic):
+    """Quartic reductions of five inputs drawn as perfbench/workloads.py's
+    random_terms(random.Random(f"q:{n}:{i}"), n, cubic, quartic, 0.3) draws
+    them, i = 0..4.  Node budget 200 gives the selections of budget 20,000."""
+    for i in range(5):
+        rng = random.Random(f"q:{n}:{i}")
+        terms = {p: rng.choice(COEFFS) for p in combinations(range(1, n + 1), 2) if rng.random() < 0.3}
+        for degree, count in ((3, cubic), (4, quartic)):
+            for t in sorted(rng.sample(list(combinations(range(1, n + 1), degree)), count)):
+                terms[t] = rng.choice(COEFFS)
+        poly = Polynomial(n, {monomial([xvar(v) for v in t]): c for t, c in terms.items()})
+        instance = build_wmaxsat(poly)
+        yield poly, apply_quartic_plan(poly, instance, solve_wmaxsat_exact(instance, 200).selection)
+
+
+@pytest.fixture
+def table_widths(monkeypatch):
+    """The variable count of every table the verifier's kernel transforms."""
+    widths = []
+
+    def spy(table, n, op=operator.add):
+        widths.append(n)
+        return subset_sums(table, n, op)
+
+    monkeypatch.setattr(puboforge.verify, "subset_sums", spy)
+    return widths
+
+
+class TestAncillaElimination:
+    # Quartic outputs chain their ancillas: one connected ancilla component
+    # spans 12-17 variables at n=16 and 22-29 at n=20, but eliminating one
+    # ancilla at a time keeps every table small.  Both sizes exceed the
+    # default cap (41-67 total variables), so the cap is lifted.
+    @pytest.mark.parametrize("n, cubic, quartic", [(16, 10, 16), (20, 20, 30)])
+    def test_quartic_chains_tabulate_small_buckets(self, table_widths, n, cubic, quartic):
+        for poly, reduced in quartic_outputs(n, cubic, quartic):
+            table_widths.clear()
+            assert verify_reduction(poly, reduced, cap=reduced.total_variables()).ok
+            assert max(table_widths) <= 12
 
 
 class TestVerifySaturation:

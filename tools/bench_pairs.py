@@ -13,9 +13,10 @@ Writes ``BENCH_<workload>-<A>-<B>.json`` at the root of this repository
 (``BENCH_<workload>-<A>.json`` for one seed), and refuses to start when that
 file exists, so a new claim never overwrites a committed one.  It holds
 every run's end-to-end metrics with its ``reference_ms_p50``, wall-time
-p50, ``.qubo`` digest and ``proven_frac``; for each metric both sides'
-median and q1-q3 and the number of pairs the change wins; both trees' git
-commits and source digests; and nproc.  The file is rewritten after every
+p50, ``.qubo`` digest, ``proven_frac`` and ``wall_s`` (the whole run's wall
+time, not summarized); for each metric both sides' median and q1-q3 and
+the number of pairs the change wins; both trees' git commits and source
+digests; and nproc.  The file is rewritten after every
 pair, so an interrupted run keeps the pairs it finished.
 """
 
@@ -30,6 +31,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -55,11 +57,14 @@ def source_digest(tree: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``tree``: its last-line metrics plus
-    the report-only figures from its results file."""
+    """One untraced perfbench run in ``tree``: its last-line metrics, the
+    report-only figures from its results file, and ``wall_s``, this tool's
+    own clock around the run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    start = perf_counter()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    wall_s = perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -72,6 +77,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {name: entry["value"] for name, entry in last["metrics"].items()},
         "commit": saved["env"]["commit"],
         "nproc": saved["env"]["nproc"],
+        "wall_s": wall_s,
     }
     run.update({key: saved["info"][key] for key in INFO_KEYS if key in saved["info"]})
     return run
