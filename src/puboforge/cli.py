@@ -34,6 +34,7 @@ from puboforge.poly import (
     PuboError,
     control_precision,
     parse_polynomial,
+    text_lines,
 )
 from puboforge.precision import greedy_precision_plan
 from puboforge.setcover import (
@@ -218,10 +219,7 @@ def _parse_lambdas(text: str) -> list[int]:
 
 def _load_config_file(path: str) -> dict:
     settings: dict = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, _ in text_lines(_read_text(path)):
         key, sep, value = line.partition("=")
         if not sep:
             raise PuboError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -274,6 +272,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         settings["lambdas"] = lambda_grid(settings["n"])
     if args.full:
         settings["lambdas"] = list(range(1, math.comb(settings["n"], 3) + 1))
+        if not settings["lambdas"]:
+            raise PuboError(f"empty lambda list: n={settings['n']} has no cubic terms for --full to sweep")
 
     try:
         configs = [
@@ -297,11 +297,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         csv_text = run_precision_experiment(configs)
 
-    rows = sum(
-        1
-        for line in csv_text.splitlines()
-        if line and not line.startswith("#") and not line.startswith("n,")
-    )
+    rows = sum(not line.startswith("n,") for _, line, _ in text_lines(csv_text))
     if args.output:
         Path(args.output).write_text(csv_text)
         _print_summary([("output", args.output), ("rows", rows)], args.json)

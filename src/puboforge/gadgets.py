@@ -44,7 +44,9 @@ from puboforge.poly import (
     PuboError,
     Var,
     avar,
+    int_fields,
     monomial,
+    text_lines,
     xvar,
 )
 
@@ -431,57 +433,42 @@ def parse_qubo(text: str) -> ReducedInstance:
     acc: dict[Monomial, int] = {}
     defs: dict[int, AncillaDef] = {}
     seen: set[AncillaDef] = set()
-
-    def ints(values: list[str]) -> list[int]:
-        try:
-            return [int(v) for v in values]
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in text_lines(text):
         if total is None:
             if fields[0] != "p" or len(fields) != 4 or fields[1] != "qubo":
                 raise ParseError("expected header 'p qubo <total> <computational>'", lineno)
-            try:
-                total, n = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno) from None
+            total, n = int_fields(fields[2:], lineno, "header counts must be integers")
             if not 0 <= n <= total:
                 raise ParseError(f"invalid variable counts total={total} computational={n}", lineno)
             continue
         if fields[0] == "c":
             if len(fields) != 2:
                 raise ParseError(f"malformed constant line {line!r}", lineno)
-            (offset,) = ints(fields[1:])
+            (offset,) = int_fields(fields[1:], lineno, "non-integer field in {!r}", line)
             acc[()] = acc.get((), 0) + offset
             continue
         if fields[0] == "a":
-            try:
-                idx = int(fields[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"malformed ancilla line {line!r}", lineno) from None
+            if len(fields) < 2:
+                raise ParseError(f"malformed ancilla line {line!r}", lineno)
+            (idx,) = int_fields(fields[1:2], lineno, "malformed ancilla line {!r}", line)
             if not n < idx <= total:
                 raise ParseError(f"ancilla index {idx} outside {n + 1}..{total}", lineno)
             if idx in defs:
                 raise ParseError(f"duplicate ancilla definition for index {idx}", lineno)
             kind = fields[2] if len(fields) > 2 else ""
             if kind == "pair" and len(fields) in (5, 6):
-                i, j = ints(fields[3:5])
+                i, j = int_fields(fields[3:5], lineno, "non-integer field in {!r}", line)
                 if not 1 <= i < j <= n:
                     raise ParseError(f"pair ({i},{j}) is not an ordered computational pair", lineno)
                 if len(fields) == 6:
-                    (copy,) = ints(fields[5:])
+                    (copy,) = int_fields(fields[5:], lineno, "non-integer field in {!r}", line)
                     if copy not in (1, 2, 3):
                         raise ParseError(f"pair copy must be 1..3, got {copy}", lineno)
                     d: AncillaDef = PairCopyAncilla(i, j, copy)
                 else:
                     d = PairAncilla(i, j)
             elif kind == "triple" and len(fields) == 9 and fields[6] == "via":
-                i, j, k, p, q = ints(fields[3:6] + fields[7:])
+                i, j, k, p, q = int_fields(fields[3:6] + fields[7:], lineno, "non-integer field in {!r}", line)
                 if not 1 <= i < j < k <= n:
                     raise ParseError(f"triple ({i},{j},{k}) is not sorted within 1..{n}", lineno)
                 if not {p, q} < {i, j, k} or p >= q:
@@ -496,17 +483,10 @@ def parse_qubo(text: str) -> ReducedInstance:
             continue
         if len(fields) != 3:
             raise ParseError(f"malformed term line {line!r}", lineno)
-        try:
-            coeff, i, j = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError(f"malformed term line {line!r}", lineno) from None
+        coeff, i, j = int_fields(fields, lineno, "malformed term line {!r}", line)
         if not 1 <= i <= j <= total:
             raise ParseError(f"term indices ({i},{j}) must satisfy 1 <= i <= j <= {total}", lineno)
-
-        def to_var(idx: int) -> Var:
-            return xvar(idx) if idx <= n else avar(idx - n - 1)
-
-        m = monomial([to_var(i)]) if i == j else monomial([to_var(i), to_var(j)])
+        m = monomial(xvar(x) if x <= n else avar(x - n - 1) for x in (i, j))
         acc[m] = acc.get(m, 0) + coeff
     if total is None:
         raise ParseError("empty input: missing 'p qubo' header")

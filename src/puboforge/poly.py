@@ -12,10 +12,11 @@ gadget reductions (0-based registry slots, owned by the reduction that
 created them).  Computational variables sort before ancillas, which keeps
 every serialization and iteration order deterministic.
 
-This module also owns the ``.pubo`` text format, the subset-sum kernel
-that turns multilinear coefficients into values at every point (and back),
-which the verifier's enumeration runs on, and the control precision report
-(max |coefficient| after dividing out the common gcd).
+This module also owns the ``.pubo`` text format, the line reader that every
+text input shares, the subset-sum kernel that turns multilinear
+coefficients into values at every point (and back), which the verifier's
+enumeration runs on, and the control precision report (max |coefficient|
+after dividing out the common gcd).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 MAX_DEGREE = 4
 DEFAULT_ENUMERATION_CAP = 24
@@ -190,7 +191,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# .pubo text format
+# Line reader shared by every text input, and the .pubo text format
 #
 #   p pubo <n>
 #   <coeff> <i> [<j> [<k> [<l>]]]     one term per line, 1-based indices
@@ -201,24 +202,39 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def text_lines(text: str, comment: Literal["#"] | None = "#") -> Iterator[tuple[int, str, list[str]]]:
+    """``(lineno, line, fields)`` for each line of ``text`` that is not blank
+    once its ``comment`` suffix is cut off; ``line`` is stripped and
+    ``lineno`` 1-based.  ``.pubo``, ``.qubo`` and bench config files take
+    ``#`` comments; wcnf and solver model files take none (``None``), since
+    their comments are ``c`` lines.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split(comment, 1)[0] if comment else raw).strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+def int_fields(fields: list[str], lineno: int, message: str, *args: object) -> list[int]:
+    """``fields`` as ints, or a ParseError at ``lineno`` reading
+    ``message.format(*args)``, which is only formatted on failure."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise ParseError(message.format(*args), lineno) from None
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse ``.pubo`` text into a polynomial over computational variables."""
     n: int | None = None
     acc: dict[Monomial, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in text_lines(text):
         if n is None:
             if fields[0] != "p":
                 raise ParseError("expected header 'p pubo <n>' before terms", lineno)
             if len(fields) != 3 or fields[1] != "pubo":
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                n = int(fields[2])
-            except ValueError:
-                raise ParseError(f"variable count {fields[2]!r} is not an integer", lineno) from None
+            (n,) = int_fields(fields[2:], lineno, "variable count {!r} is not an integer", fields[2])
             if n < 0:
                 raise ParseError(f"variable count must be >= 0, got {n}", lineno)
             continue
@@ -227,16 +243,10 @@ def parse_polynomial(text: str) -> Polynomial:
         if fields[0] == "c":
             if len(fields) != 2:
                 raise ParseError(f"malformed constant line {line!r}", lineno)
-            try:
-                offset = int(fields[1])
-            except ValueError:
-                raise ParseError(f"constant {fields[1]!r} is not an integer", lineno) from None
+            (offset,) = int_fields(fields[1:], lineno, "constant {!r} is not an integer", fields[1])
             acc[()] = acc.get((), 0) + offset
             continue
-        try:
-            numbers = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"malformed term line {line!r}", lineno) from None
+        numbers = int_fields(fields, lineno, "malformed term line {!r}", line)
         if len(numbers) < 2:
             raise ParseError("term line needs a coefficient and at least one index", lineno)
         if len(numbers) > 1 + MAX_DEGREE:

@@ -70,7 +70,7 @@ from puboforge.gadgets import (
     delta_for_group,
     materialize,
 )
-from puboforge.poly import Monomial, ParseError, Polynomial, PuboError, Var, avar, monomial, xvar
+from puboforge.poly import Monomial, ParseError, Polynomial, PuboError, Var, avar, int_fields, monomial, text_lines, xvar
 
 Clause = tuple[int, ...]
 
@@ -450,48 +450,34 @@ def parse_wcnf(text: str) -> WmaxsatInstance:
     triples: list[Triple] = []
     hard: list[Clause] = []
     soft: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in text_lines(text, None):
         if fields[0] == "p":
             if top is not None:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 5 or fields[1] != "wcnf":
                 raise ParseError("expected 'p wcnf <vars> <clauses> <top>'", lineno)
-            try:
-                declared_vars, declared_clauses, top = (int(f) for f in fields[2:])
-            except ValueError:
-                raise ParseError("header fields must be integers", lineno) from None
+            declared_vars, declared_clauses, top = int_fields(fields[2:], lineno, "header fields must be integers")
             if top != declared_vars + 1:
                 raise ParseError(f"top weight must be selectors + 1 = {declared_vars + 1}", lineno)
             continue
         if fields[0] == "c":
             if len(fields) >= 5 and fields[1] == "var" and fields[3] == "=":
-                try:
-                    index = int(fields[2])
-                    kind = fields[4]
-                    ints = tuple(int(f) for f in fields[5:])
-                except ValueError:
-                    raise ParseError("malformed selector comment", lineno) from None
+                index, *ints = int_fields(fields[2:3] + fields[5:], lineno, "malformed selector comment")
+                kind = fields[4]
                 if kind == "pair" and len(ints) == 2:
                     if triples or index != len(pairs) + 1:
                         raise ParseError("selector comments out of order", lineno)
-                    pairs.append(ints)  # type: ignore[arg-type]
+                    pairs.append(tuple(ints))  # type: ignore[arg-type]
                 elif kind == "triple" and len(ints) == 3:
                     if index != len(pairs) + len(triples) + 1:
                         raise ParseError("selector comments out of order", lineno)
-                    triples.append(ints)  # type: ignore[arg-type]
+                    triples.append(tuple(ints))  # type: ignore[arg-type]
                 else:
                     raise ParseError("malformed selector comment", lineno)
             continue
         if top is None:
             raise ParseError("clause before header", lineno)
-        try:
-            numbers = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"unrecognized line {line!r}", lineno) from None
+        numbers = int_fields(fields, lineno, "unrecognized line {!r}", line)
         if len(numbers) < 2 or numbers[-1] != 0:
             raise ParseError("clause lines are '<weight> <literals> 0'", lineno)
         weight, lits = numbers[0], tuple(numbers[1:-1])
@@ -528,23 +514,22 @@ def parse_model(text: str) -> frozenset[int]:
 
     Accepts the usual output style: 'v' lines listing signed literals
     (possibly 0-terminated), 'c'/'s'/'o' lines ignored.  Lines that are
-    nothing but signed integers are accepted too.
+    nothing but signed integers are accepted too; any other line is solver
+    chatter and skipped, but a 'v' line with a non-integer field is a
+    ParseError, since skipping it would drop selectors.
     """
     true_vars: set[int] = set()
     saw_values = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in text_lines(text, None):
         if fields[0] in {"c", "s", "o", "p"}:
             continue
         if fields[0] == "v":
-            fields = fields[1:]
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            continue
+            values = int_fields(fields[1:], lineno, "non-integer literal in model line {!r}", line)
+        else:
+            try:
+                values = [int(f) for f in fields]
+            except ValueError:
+                continue
         saw_values = True
         true_vars.update(v for v in values if v > 0)
     if not saw_values:

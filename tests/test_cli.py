@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from puboforge.cli import run
-from puboforge.gadgets import parse_qubo
+from puboforge.gadgets import apply_plan, parse_qubo
 from puboforge.poly import parse_polynomial
 from puboforge.setcover import build_set_cover, set_cover_to_ilp, solve_ilp_exact
 from puboforge.wmaxsat import build_wmaxsat, solve_wmaxsat_exact
@@ -195,6 +196,19 @@ class TestCompile:
         assert "ancilla: 2" in out
         assert "proven optimal: no" in out
 
+    def test_model_value_line_with_a_stray_token_is_an_input_error(self, tmp_path, capsys):
+        # The second 'v' line names all 16 selectors; skipping it for its
+        # trailing 'x' would compile the 2-ancilla selection of the first.
+        src = tmp_path / "q.pubo"
+        src.write_text("p pubo 5\n2 1 2 3 4\n-1 2 3 4 5\n")
+        model = tmp_path / "model.txt"
+        model.write_text("v 7 13\nv " + " ".join(map(str, range(1, 17))) + " x\n")
+        out = tmp_path / "q.qubo"
+        assert run(["compile", str(src), "-o", str(out), "--wmaxsat-model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "x" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, flags, before",
         [
@@ -226,6 +240,29 @@ class TestCompile:
         assert exc.value.code == 2
         assert flags[-1] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_failing_verify_exits_one_and_keeps_the_output(
+        self, worked, tmp_path, capsys, monkeypatch, as_json
+    ):
+        def unsound_apply_plan(poly, plan):
+            # drop the first ancilla's penalty weight: the reduction undershoots
+            first = min(plan.deltas)
+            return apply_plan(poly, replace(plan, deltas={**plan.deltas, first: 0}))
+
+        monkeypatch.setattr("puboforge.cli.apply_plan", unsound_apply_plan)
+        out = tmp_path / "r.qubo"
+        args = ["compile", str(worked), "-o", str(out), "--verify"]
+        assert run(args + ["--json"] * as_json) == 1
+        stdout = capsys.readouterr().out
+        if as_json:
+            obj = json.loads(stdout)
+            assert obj["verified"] is False
+            assert "x1=" in obj["counterexample"]
+        else:
+            assert "verified: no\n" in stdout
+            assert "\ncounterexample: x1=" in stdout
+        assert parse_qubo(out.read_text()).registry
 
     def test_zero_budget_and_cap_are_accepted(self, worked, tmp_path, capsys):
         # Budget 0 returns the greedy incumbent unproven; cap 0 is below
@@ -380,6 +417,13 @@ class TestBench:
         cfg.write_text("n=6\nlambdas=2\ninstances=2\n")
         assert run(["bench", "--config", str(cfg), "--n", "5"]) == 0
         assert "\n5,2," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_empty_full_sweep_is_input_error(self, tmp_path, capsys, n):
+        out = tmp_path / "sweep.csv"
+        assert run(["bench", "--n", n, "--full", "-o", str(out)]) == 2
+        assert "empty lambda list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_above_capacity_is_input_error(self):
         assert run(["bench", "--n", "5", "--lambdas", "11", "--instances", "1"]) == 2
